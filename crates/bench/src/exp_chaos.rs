@@ -5,7 +5,9 @@
 //!
 //! - servers journal to **file-backed** durable stores
 //!   (`StoreHandle::file`, `sync_every = 1`: each append reaches the
-//!   medium before the server acks — the write-ahead guarantee);
+//!   medium before the server acks — the write-ahead guarantee); an
+//!   append is one record per handled envelope carrying every delta of
+//!   it, and the run reports the mean group fill as `deltas/append`;
 //! - between workload segments a rotating victim is crashed with
 //!   [`CrashMode::Amnesia`] and immediately restarted; recovery must
 //!   replay the victim's log (the run records how many restarts actually
@@ -24,9 +26,12 @@
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_kv::{workload, KvRunStats, RetryPolicy, RetryStats, RtKv, WorkloadConfig};
+use rqs_obs::{Obs, TraceEvent, TraceKind, Tracer};
 use rqs_runtime::SidecarReport;
 use rqs_sim::{CrashMode, LinkEffect, LinkRule, Scenario};
 use rqs_store::{StoreHandle, StoreStats};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Chaos-soak dimensions.
@@ -123,6 +128,9 @@ pub struct ChaosRun {
     pub sidecar: SidecarReport,
     /// Merged durable-store counters across all servers.
     pub store: StoreStats,
+    /// Deltas carried by the `store.appends` log records (summed from
+    /// the stores' [`TraceKind::WalAppended`] events).
+    pub wal_deltas: u64,
     /// Merged client retry counters over the whole run.
     pub retries: RetryStats,
     /// Amnesia crash/restart cycles injected.
@@ -133,6 +141,19 @@ pub struct ChaosRun {
     /// Wall-clock time of the workload segments (excluding deployment
     /// setup and the final sidecar join).
     pub wall: Duration,
+}
+
+/// The stores' trace sink: sums the group fill of every WAL append. Only
+/// the stores are pointed at it, so the rest of the run stays untraced.
+#[derive(Default)]
+struct WalDeltas(AtomicU64);
+
+impl Tracer for WalDeltas {
+    fn record(&self, ev: TraceEvent) {
+        if ev.kind == TraceKind::WalAppended {
+            self.0.fetch_add(ev.b, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Runs the chaos soak: threaded runtime, file-backed write-ahead
@@ -169,6 +190,12 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
         Duration::from_micros(params.tick_us),
         stores,
     );
+    // Re-point the stores alone (the deployment just handed them its
+    // no-op tracer) at the group-fill counter.
+    let wal_deltas = Arc::new(WalDeltas::default());
+    for (i, store) in kv.server_stores().iter().enumerate() {
+        store.set_obs(Obs::new(wal_deltas.clone(), i as u64));
+    }
     kv.retain_outcomes(false);
     kv.enable_checker_sidecar();
     if params.pipeline > 1 {
@@ -235,6 +262,7 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
         stats,
         sidecar,
         store,
+        wal_deltas: wal_deltas.0.load(Ordering::Relaxed),
         retries,
         cycles: params.crash_cycles,
         recovered,
@@ -321,6 +349,13 @@ pub fn render(seed: u64, params: ChaosParams, run: &ChaosRun) -> Report {
     r.row(["recovered restarts", &run.recovered.to_string()]);
     r.row(["wal appends", &run.store.appends.to_string()]);
     r.row(["wal syncs", &run.store.syncs.to_string()]);
+    r.row([
+        "deltas/append",
+        &format!(
+            "{:.2}",
+            run.wal_deltas as f64 / run.store.appends.max(1) as f64
+        ),
+    ]);
     r.row(["wal log bytes", &run.store.log_bytes.to_string()]);
     r.row(["snapshots", &run.store.snapshots.to_string()]);
     r.row(["snapshot bytes", &run.store.snapshot_bytes.to_string()]);
@@ -367,6 +402,11 @@ mod tests {
             "every amnesia restart must replay from its durable store"
         );
         assert!(run.store.appends > 0, "servers must write-ahead log");
+        assert_eq!(run.store.syncs, run.store.appends, "sync_every = 1");
+        assert!(
+            run.wal_deltas >= run.store.appends as u64,
+            "every record carries at least one delta"
+        );
         assert!(run.store.replayed > 0, "recovery must replay records");
         assert_eq!(
             run.store.snapshots, run.cycles,
@@ -402,6 +442,7 @@ mod tests {
         for metric in [
             "wal appends",
             "wal syncs",
+            "deltas/append",
             "snapshot bytes",
             "replayed records",
             "retries issued",

@@ -189,7 +189,7 @@ impl Acceptor {
         };
         let now = self.core();
         if now != before {
-            store.append(&now.encode());
+            store.append(&now.encode(), 1);
         }
     }
 

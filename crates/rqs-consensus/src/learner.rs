@@ -115,6 +115,7 @@ impl Learner {
                         learned: Some((v, now.0)),
                     }
                     .encode(),
+                    1,
                 );
             }
         }

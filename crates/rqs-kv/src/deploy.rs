@@ -1183,6 +1183,127 @@ mod tests {
         kv.shutdown();
     }
 
+    /// The `(appends, deltas)` the stores' `WalAppended` events add up to.
+    fn traced_wal_appends(events: &[TraceEvent]) -> (usize, usize) {
+        let wal = events
+            .iter()
+            .filter(|e| e.kind == rqs_obs::TraceKind::WalAppended);
+        (wal.clone().count(), wal.map(|e| e.b as usize).sum())
+    }
+
+    #[test]
+    fn one_envelope_of_writes_is_one_log_record_and_one_sync() {
+        // One client launches B writes to B objects in a single step, so
+        // each server receives them as one envelope — and must journal
+        // them as one record behind one sync point, not B of each.
+        const B: usize = 6;
+        let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
+        let stores: Vec<StoreHandle> = (0..rqs.universe_size())
+            .map(|_| StoreHandle::mem())
+            .collect();
+        let rec = Arc::new(rqs_obs::FlightRecorder::new(1 << 12));
+        let mut sim = KvSim::with_setup_traced(
+            rqs,
+            B,
+            1,
+            Scenario::default(),
+            rqs_sim::DEFAULT_TICK,
+            stores,
+            rec,
+        );
+        let ops: Vec<WorkloadOp> = (0..B as u64)
+            .map(|o| WorkloadOp {
+                client: 0,
+                op: KvOp::Write {
+                    object: ObjectId(o),
+                    value: rqs_storage::Value::from(100 + o),
+                },
+            })
+            .collect();
+        assert_eq!(sim.run_workload(&ops, B).ops, B);
+        for (i, store) in sim.server_stores().iter().enumerate() {
+            let s = store.stats();
+            assert_eq!((s.appends, s.syncs), (1, 1), "server {i}");
+        }
+        let servers = sim.servers().len();
+        assert_eq!(
+            traced_wal_appends(&sim.obs_events()),
+            (servers, servers * B),
+            "every record carries the whole envelope's deltas"
+        );
+
+        // An amnesia restart replays the group's B deltas into exactly
+        // the pre-crash histories.
+        let victim = sim.servers()[0];
+        let histories = |sim: &mut KvSim| {
+            sim.substrate().inspect_on::<KvServer, Vec<_>>(victim, |s| {
+                (0..B as u64).map(|o| s.history(ObjectId(o))).collect()
+            })
+        };
+        let before = histories(&mut sim);
+        assert!(before.iter().all(|h| !h.is_empty()));
+        sim.crash_server(0, CrashMode::Amnesia);
+        sim.restart_server(0);
+        sim.world_mut().run_to_quiescence_bounded(1_000);
+        assert_eq!(histories(&mut sim), before);
+        let recovered: Vec<u64> = sim
+            .obs_events()
+            .iter()
+            .filter(|e| e.kind == rqs_obs::TraceKind::Recover && e.b == 1)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(recovered, [B as u64], "B deltas replayed from one record");
+        assert_eq!(sim.server_stores()[0].stats().replayed, 1);
+    }
+
+    #[test]
+    fn pooled_pipelined_writes_commit_one_group_per_worker_batch() {
+        // Two shard workers per server share one store handle. Each
+        // worker commits its own group per batch it is handed: every
+        // record is whole (appends == syncs, the deltas the stores report
+        // are exactly the deltas recoverable from the logs), and the
+        // service stays per-object atomic across an amnesia crash that
+        // rebuilds both shards from the shared log.
+        let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
+        let stores: Vec<StoreHandle> = (0..5).map(|_| StoreHandle::mem()).collect();
+        let rec = Arc::new(rqs_obs::FlightRecorder::new(1 << 14));
+        let mut kv = RtKv::with_setup_traced(
+            rqs,
+            8,
+            2,
+            Scenario::default(),
+            Duration::from_millis(1),
+            stores,
+            rec,
+        );
+        kv.enable_worker_pool(2);
+        kv.set_pipeline(4);
+        let writes = |ops, seed| WorkloadConfig {
+            read_percent: 10,
+            ..WorkloadConfig::mixed(8, 2, ops, seed)
+        };
+        kv.run_workload(&generate(&writes(64, 53)), 4);
+        kv.crash_server(1, CrashMode::Amnesia);
+        kv.restart_server(1);
+        let stats = kv.run_workload(&generate(&writes(64, 59)), 4);
+        assert_eq!(stats.ops, 64);
+        kv.check_atomicity().unwrap();
+        assert_eq!(kv.server_stores()[1].stats().crashes, 1);
+
+        let store = kv.store_stats();
+        assert_eq!(store.syncs, store.appends, "one sync point per group");
+        let (appends, deltas) = traced_wal_appends(&kv.obs_events());
+        assert_eq!(appends, store.appends);
+        assert!(deltas > appends, "pipelined writes must share records");
+        let logged: usize = kv
+            .server_stores()
+            .iter()
+            .map(|s| rqs_storage::wal::deltas(&s.load()).count())
+            .sum();
+        assert_eq!(logged, deltas, "no group lost, split or double-committed");
+        kv.shutdown();
+    }
+
     #[test]
     fn worker_pool_skips_byzantine_servers() {
         let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();

@@ -5,7 +5,9 @@
 //! is routed to the state of its object (created on first touch), and all
 //! replies produced by the step are re-batched per destination — so a
 //! batch of `B` writes costs one request envelope and one reply envelope
-//! instead of `2B`.
+//! instead of `2B`. A durable server journals the same way: the step's
+//! effective writes go into one [`DeltaGroup`], appended to the store as
+//! a single record (one sync point) before the step's replies leave.
 //!
 //! On the threaded runtime a server may additionally enable a
 //! [worker pool](KvServer::enable_worker_pool): object state is sharded
@@ -15,15 +17,18 @@
 //! [`NetHandle`](rqs_runtime::NetHandle). Because an object lives on
 //! exactly one worker, per-object message order (and per-object WAL
 //! append order into the shared store) is preserved; only cross-object
-//! reply interleaving changes, which atomicity is indifferent to.
+//! reply interleaving changes, which atomicity is indifferent to. Each
+//! worker owns its own group and commits it once per batch it is handed,
+//! so no worker's delta rides in — or is acked ahead of — another's
+//! record.
 
 use crate::messages::{BatchAccumulator, KvBatch, KvItem};
 use crate::object::ObjectId;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use rqs_runtime::NetHandle;
-use rqs_sim::{Automaton, Context, NodeId, Time};
+use rqs_sim::{Automaton, Context, NodeId};
 use rqs_storage::history::History;
-use rqs_storage::{wal, Server, StorageMsg};
+use rqs_storage::{wal, DeltaGroup, Server, StorageMsg};
 use rqs_store::StoreHandle;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -33,11 +38,7 @@ use std::thread::JoinHandle;
 /// Work shipped to one shard worker of a pooled [`KvServer`].
 enum WorkerMsg {
     /// One sender's items for this worker's objects (one step's worth).
-    Batch {
-        from: NodeId,
-        now: Time,
-        items: Vec<KvItem>,
-    },
+    Batch { from: NodeId, items: Vec<KvItem> },
     /// Report every `(object, history)` this worker holds.
     Gather(Sender<Vec<(u64, History)>>),
     /// Replace this worker's object bank with the given histories.
@@ -46,18 +47,35 @@ enum WorkerMsg {
     Drain(Sender<()>),
 }
 
-/// The per-object server for `obj` within one worker's shard, created on
-/// first touch with the shared store attached (tagged by object id) —
-/// the sharded twin of [`KvServer::object_server`].
-fn shard_server<'a>(
-    objects: &'a mut BTreeMap<ObjectId, Server>,
-    store: &Option<StoreHandle>,
-    obj: ObjectId,
-) -> &'a mut Server {
-    objects.entry(obj).or_insert_with(|| match store {
-        Some(s) => Server::with_tagged_store(s.clone(), obj.0),
-        None => Server::new(),
-    })
+/// The per-object server for `obj` in a bank (the node's own, or one
+/// worker's shard), created on first touch and tagged by object id.
+fn object_server(objects: &mut BTreeMap<ObjectId, Server>, obj: ObjectId) -> &mut Server {
+    objects
+        .entry(obj)
+        .or_insert_with(|| Server::with_tag(obj.0))
+}
+
+/// One step over a bank: every item goes to its object's server, replies
+/// are buffered per destination, and the step's effective writes are
+/// appended to `store` as one record. Write-ahead: the caller releases
+/// `replies` only after this returns.
+fn handle_items(
+    objects: &mut BTreeMap<ObjectId, Server>,
+    store: Option<&StoreHandle>,
+    group: &mut DeltaGroup,
+    replies: &mut BatchAccumulator,
+    from: NodeId,
+    items: Vec<KvItem>,
+) {
+    for item in items {
+        let server = object_server(objects, item.object);
+        if let Some(reply) = server.handle(item.msg, store.map(|_| &mut *group)) {
+            replies.push(from, item.object, item.lane, reply);
+        }
+    }
+    if let Some(store) = store {
+        group.commit(store);
+    }
 }
 
 fn worker_loop(
@@ -71,17 +89,19 @@ fn worker_loop(
     // map nodes survive each drain, so steady state allocates nothing
     // per batch beyond the items themselves.
     let mut replies = BatchAccumulator::new();
+    // Likewise one write-ahead group, committed once per batch.
+    let mut group = DeltaGroup::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Batch { from, now, items } => {
-                for item in items {
-                    let server = shard_server(&mut objects, &store, item.object);
-                    let mut inner: Context<StorageMsg> = Context::new(me, now, 0);
-                    server.on_message(from, item.msg, &mut inner);
-                    let (outbox, timers, _cancelled) = inner.into_outputs();
-                    debug_assert!(timers.is_empty(), "benign servers never arm timers");
-                    replies.absorb(item.object, item.lane, outbox);
-                }
+            WorkerMsg::Batch { from, items } => {
+                handle_items(
+                    &mut objects,
+                    store.as_ref(),
+                    &mut group,
+                    &mut replies,
+                    from,
+                    items,
+                );
                 for (to, batch) in replies.drain() {
                     net.send(me, to, batch);
                 }
@@ -96,7 +116,7 @@ fn worker_loop(
             WorkerMsg::Install(histories, ack) => {
                 objects.clear();
                 for (obj, h) in histories {
-                    shard_server(&mut objects, &store, ObjectId(obj)).install_history(h);
+                    object_server(&mut objects, ObjectId(obj)).install_history(h);
                 }
                 let _ = ack.send(());
             }
@@ -151,7 +171,7 @@ impl WorkerPool {
 
     /// Routes one step's items to their shard workers (per-worker FIFO
     /// inboxes keep per-object order).
-    fn dispatch(&self, from: NodeId, now: Time, items: Vec<KvItem>) {
+    fn dispatch(&self, from: NodeId, items: Vec<KvItem>) {
         let mut shards: Vec<Vec<KvItem>> = vec![Vec::new(); self.inboxes.len()];
         for item in items {
             shards[self.shard_of(item.object)].push(item);
@@ -159,7 +179,7 @@ impl WorkerPool {
         for (w, items) in shards.into_iter().enumerate() {
             if !items.is_empty() {
                 self.inboxes[w]
-                    .send(WorkerMsg::Batch { from, now, items })
+                    .send(WorkerMsg::Batch { from, items })
                     .unwrap_or_else(|_| panic!("shard worker alive"));
             }
         }
@@ -248,10 +268,11 @@ impl core::fmt::Debug for WorkerPool {
 
 /// A benign multi-object storage server.
 ///
-/// With a [`StoreHandle`] attached, every per-object [`Server`] logs its
-/// write-ahead deltas to the *shared* store under its object id as tag,
-/// and `save_state`/`restore_state` snapshot and rebuild the whole bank
-/// at once — a single durable store per node, like a single disk.
+/// With a [`StoreHandle`] attached, every step logs its objects'
+/// write-ahead deltas (tagged by object id) to the *shared* store as one
+/// record, and `save_state`/`restore_state` snapshot and rebuild the
+/// whole bank at once — a single durable store per node, like a single
+/// disk.
 ///
 /// With a [worker pool](Self::enable_worker_pool) enabled (threaded
 /// runtime only), the object bank lives on the pool's shard threads
@@ -264,6 +285,9 @@ pub struct KvServer {
     /// Reply accumulator reused across steps (empty between steps; its
     /// retained map nodes are a cache, not state).
     replies: BatchAccumulator,
+    /// Write-ahead group of the unpooled path, reused across steps
+    /// (likewise empty between steps).
+    group: DeltaGroup,
 }
 
 impl Clone for KvServer {
@@ -276,6 +300,7 @@ impl Clone for KvServer {
             store: self.store.clone(),
             pool: None,
             replies: BatchAccumulator::new(),
+            group: DeltaGroup::new(),
         }
     }
 }
@@ -346,16 +371,6 @@ impl KvServer {
             .map(|s| s.history().clone())
             .unwrap_or_default()
     }
-
-    /// The per-object server for `obj`, created on first touch with the
-    /// shared store attached (tagged by object id).
-    fn object_server(&mut self, obj: ObjectId) -> &mut Server {
-        let store = self.store.clone();
-        self.objects.entry(obj).or_insert_with(|| match store {
-            Some(s) => Server::with_tagged_store(s, obj.0),
-            None => Server::new(),
-        })
-    }
 }
 
 impl Automaton<KvBatch> for KvServer {
@@ -381,20 +396,21 @@ impl Automaton<KvBatch> for KvServer {
         // this step's context, so the node thread is back to its inbox
         // in O(batch) routing time.
         if let Some(pool) = &self.pool {
-            pool.dispatch(from, ctx.now(), batch.0);
+            pool.dispatch(from, batch.0);
             return;
         }
         // Per-destination reply buffer: everything this step produces for
-        // one destination leaves as a single batch. The accumulator is a
-        // field so its map nodes persist across steps.
-        for item in batch.0 {
-            let server = self.object_server(item.object);
-            let mut inner: Context<StorageMsg> = Context::new(ctx.me(), ctx.now(), 0);
-            server.on_message(from, item.msg, &mut inner);
-            let (outbox, timers, _cancelled) = inner.into_outputs();
-            debug_assert!(timers.is_empty(), "benign servers never arm timers");
-            self.replies.absorb(item.object, item.lane, outbox);
-        }
+        // one destination leaves as a single batch, after the step's one
+        // log record. The buffers are fields so their allocations persist
+        // across steps.
+        handle_items(
+            &mut self.objects,
+            self.store.as_ref(),
+            &mut self.group,
+            &mut self.replies,
+            from,
+            batch.0,
+        );
         self.replies.flush(ctx);
     }
 
@@ -445,7 +461,7 @@ impl Automaton<KvBatch> for KvServer {
         let rec = store.load();
         let (histories, replayed) = wal::restore_histories(&rec);
         for (obj, h) in histories {
-            self.object_server(ObjectId(obj)).install_history(h);
+            object_server(&mut self.objects, ObjectId(obj)).install_history(h);
         }
         replayed
     }
@@ -535,7 +551,9 @@ mod tests {
     use crate::messages::Lane;
     use rqs_sim::Time;
     use rqs_storage::{TsVal, Value};
+    use rqs_store::{Durable, MemDurable, Recovered, StoreConfig, StoreStats};
     use std::collections::BTreeSet;
+    use std::sync::Mutex;
 
     fn test_ctx() -> Context<KvBatch> {
         Context::new(NodeId(0), Time::ZERO, 0)
@@ -625,6 +643,96 @@ mod tests {
             assert_eq!(recovered.history(ObjectId(o)), before[i], "object {o}");
         }
         assert_eq!(store.stats().crashes, 1, "shared store crashed once");
+    }
+
+    /// A store over a medium the test keeps hold of, whose process dies
+    /// inside its `appends_left + 1`-th append: the record is left torn
+    /// on the medium and the call never returns.
+    struct DiesInAppend {
+        medium: Arc<Mutex<MemDurable>>,
+        appends_left: usize,
+    }
+
+    impl Durable for DiesInAppend {
+        fn append(&mut self, record: &[u8]) {
+            let mut medium = self.medium.lock().unwrap();
+            medium.append(record);
+            if self.appends_left == 0 {
+                medium.crash();
+                drop(medium);
+                panic!("process died inside append");
+            }
+            self.appends_left -= 1;
+        }
+        fn sync(&mut self) {
+            self.medium.lock().unwrap().sync();
+        }
+        fn install_snapshot(&mut self, snapshot: &[u8]) {
+            self.medium.lock().unwrap().install_snapshot(snapshot);
+        }
+        fn crash(&mut self) {
+            self.medium.lock().unwrap().crash();
+        }
+        fn load(&mut self) -> Recovered {
+            self.medium.lock().unwrap().load()
+        }
+        fn stats(&self) -> StoreStats {
+            self.medium.lock().unwrap().stats()
+        }
+    }
+
+    #[test]
+    fn torn_group_is_discarded_whole_and_none_of_it_was_acked() {
+        let medium = Arc::new(Mutex::new(MemDurable::with_config(StoreConfig::lazy(0))));
+        let open = |appends_left| {
+            StoreHandle::new(Box::new(DiesInAppend {
+                medium: medium.clone(),
+                appends_left,
+            }))
+        };
+        let store = open(1);
+        let mut s = KvServer::with_store(store.clone());
+        let mut c = test_ctx();
+        s.on_message(
+            NodeId(9),
+            KvBatch(vec![wr(0, Lane::Writer, 1, 10), wr(1, Lane::Writer, 1, 11)]),
+            &mut c,
+        );
+        store.sync(); // the lazy store's one sync point
+        assert_eq!(c.sent()[0].1.len(), 2);
+
+        // The process dies while appending the second envelope's group.
+        let mut c2 = test_ctx();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.on_message(
+                NodeId(9),
+                KvBatch(vec![
+                    wr(0, Lane::Writer, 2, 20),
+                    wr(1, Lane::Writer, 2, 21),
+                    wr(2, Lane::Writer, 1, 22),
+                ]),
+                &mut c2,
+            )
+        }));
+        assert!(died.is_err());
+        assert!(
+            c2.sent().is_empty(),
+            "no ack may precede the group's append"
+        );
+
+        // A new process over the same medium: the torn record is rejected
+        // as a unit — no prefix of its deltas is replayed.
+        let store = open(usize::MAX);
+        let mut recovered = KvServer::with_store(store.clone());
+        assert_eq!(recovered.restore_state(), 2, "the synced group's deltas");
+        assert_eq!(store.stats().torn_discarded, 1);
+        assert_eq!(store.stats().lost_unsynced, 1, "one record, three deltas");
+        for (o, v) in [(0u64, 10u64), (1, 11)] {
+            let h = recovered.history(ObjectId(o));
+            assert!(h.stores(&TsVal::new(1, Value::from(v)), 1));
+            assert_eq!(h.len(), 1, "object {o} must not see the torn group");
+        }
+        assert!(recovered.history(ObjectId(2)).is_empty());
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub enum TraceKind {
     /// A retry watchdog fired and re-sent the current round (`a` =
     /// attempt number).
     RetryNudged = 4,
-    /// A record was appended to a write-ahead log (`a` = payload bytes).
+    /// A record was appended to a write-ahead log (`a` = payload bytes,
+    /// `b` = deltas the record carries: the group fill of the step that
+    /// logged it).
     WalAppended = 5,
     /// A WAL tail reached the durable medium (`a` = syncs so far).
     Fsync = 6,

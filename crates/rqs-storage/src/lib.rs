@@ -72,5 +72,5 @@ pub use reader::{ReadOutcome, Reader};
 pub use regular::{check_regularity, RegularReadOutcome, RegularReader, RegularityViolation};
 pub use server::Server;
 pub use value::{Timestamp, TsVal, Value};
-pub use wal::{decode_histories, encode_histories, restore_history, StorageDelta};
+pub use wal::{decode_histories, encode_histories, restore_history, DeltaGroup, StorageDelta};
 pub use writer::{WriteOutcome, Writer, CLIENT_TIMEOUT};

@@ -3,12 +3,10 @@
 use crate::history::History;
 use crate::messages::StorageMsg;
 use crate::value::TsVal;
-use crate::wal::{self, StorageDelta};
-use rqs_core::QuorumId;
+use crate::wal::{self, DeltaGroup};
 use rqs_sim::{Automaton, Context, NodeId};
 use rqs_store::{Recovered, StoreHandle};
 use std::any::Any;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A benign storage server.
@@ -18,11 +16,17 @@ use std::sync::Arc;
 /// before processing any other (the round-based restriction of §3.1 —
 /// guaranteed here because a step handles exactly one message).
 ///
-/// With a [`StoreHandle`] attached, every effective write is logged as a
-/// [`StorageDelta`] *before* the `wr_ack` leaves — so an acknowledged
-/// write survives a [`CrashMode::Amnesia`](rqs_sim::CrashMode) restart,
-/// which rebuilds the history through [`Automaton::restore_state`].
-/// Without a store (the default) the server is purely volatile.
+/// With a [`StoreHandle`] attached, every effective write is logged (a
+/// [`DeltaGroup`] of one delta per step) *before* the `wr_ack` leaves —
+/// so an acknowledged write survives a
+/// [`CrashMode::Amnesia`](rqs_sim::CrashMode) restart, which rebuilds the
+/// history through [`Automaton::restore_state`]. Without a store (the
+/// default) the server is purely volatile.
+///
+/// The step body is [`Server::handle`], which writes its delta into a
+/// group the caller supplies and commits: a multi-object server runs many
+/// `Server`s per envelope against one group and pays one log record for
+/// the lot.
 #[derive(Clone, Debug, Default)]
 pub struct Server {
     history: History,
@@ -31,8 +35,11 @@ pub struct Server {
     /// clone an `Arc` instead of the whole (unbounded, §5) history.
     reply_cache: Option<Arc<History>>,
     store: Option<StoreHandle>,
-    /// Object tag on logged records (0 for single-register deployments).
+    /// Object tag on logged deltas (0 for single-register deployments).
     obj: u64,
+    /// The write-ahead group of this server's own steps (empty between
+    /// steps; kept for its buffer).
+    group: DeltaGroup,
     /// Planted bug (checker self-tests): acknowledge writes without
     /// logging them, so amnesia loses acknowledged data. Always `false`
     /// outside the `mutants` feature.
@@ -48,14 +55,17 @@ impl Server {
 
     /// A durable server logging deltas to `store` under object tag 0.
     pub fn with_store(store: StoreHandle) -> Self {
-        Server::with_tagged_store(store, 0)
-    }
-
-    /// A durable server logging deltas under an explicit object tag —
-    /// how a multi-object KV server shares one store across objects.
-    pub fn with_tagged_store(store: StoreHandle, obj: u64) -> Self {
         Server {
             store: Some(store),
+            ..Server::default()
+        }
+    }
+
+    /// One object of a multi-object server: its deltas carry tag `obj`,
+    /// and the owner — which drives it through [`Server::handle`] — holds
+    /// the store shared by all its objects.
+    pub fn with_tag(obj: u64) -> Self {
+        Server {
             obj,
             ..Server::default()
         }
@@ -104,22 +114,44 @@ impl Server {
         self.reply_cache = None;
     }
 
-    /// Write-ahead step: log the delta for an effective write before
-    /// the ack is sent.
-    fn log_delta(&self, pair: &TsVal, sets: &BTreeSet<QuorumId>, rnd: usize) {
-        #[cfg(feature = "mutants")]
-        if self.wal_disabled {
-            return;
-        }
-        if let Some(store) = &self.store {
-            let delta = StorageDelta {
-                obj: self.obj,
-                ts: pair.ts,
-                val: pair.val.clone(),
-                sets: sets.clone(),
-                rnd,
-            };
-            store.append(&delta.encode());
+    /// The step body: applies `msg` and returns the reply it calls for.
+    ///
+    /// An effective write adds its delta to `group` (`None` for a
+    /// volatile owner). Write-ahead is the caller's half of the contract:
+    /// the group must be [committed](DeltaGroup::commit) before the
+    /// returned reply leaves, or an amnesia crash forgets an acked write.
+    pub fn handle(
+        &mut self,
+        msg: StorageMsg,
+        group: Option<&mut DeltaGroup>,
+    ) -> Option<StorageMsg> {
+        match msg {
+            StorageMsg::Wr { ts, val, sets, rnd } => {
+                let pair = TsVal::new(ts, val);
+                if self.history.apply_write(&pair, &sets, rnd) {
+                    self.reply_cache = None;
+                    #[cfg(feature = "mutants")]
+                    let group = group.filter(|_| !self.wal_disabled);
+                    if let Some(group) = group {
+                        group.push(self.obj, &pair, &sets, rnd);
+                    }
+                }
+                Some(StorageMsg::WrAck { ts, rnd })
+            }
+            StorageMsg::Rd { read_no, rnd } => {
+                let history = self
+                    .reply_cache
+                    .get_or_insert_with(|| Arc::new(self.history.clone()))
+                    .clone();
+                Some(StorageMsg::RdAck {
+                    read_no,
+                    rnd,
+                    history,
+                })
+            }
+            // Servers never receive acks; ignore (Byzantine clients could
+            // send them).
+            StorageMsg::WrAck { .. } | StorageMsg::RdAck { .. } => None,
         }
     }
 }
@@ -130,35 +162,16 @@ impl Automaton<StorageMsg> for Server {
     }
 
     fn on_message(&mut self, from: NodeId, msg: StorageMsg, ctx: &mut Context<StorageMsg>) {
-        match msg {
-            StorageMsg::Wr { ts, val, sets, rnd } => {
-                let pair = TsVal::new(ts, val);
-                let changed = self.history.apply_write(&pair, &sets, rnd);
-                // Write-ahead: the delta must be durable before the ack
-                // leaves, or an amnesia crash forgets an acked write.
-                if changed {
-                    self.log_delta(&pair, &sets, rnd);
-                    self.reply_cache = None;
-                }
-                ctx.send(from, StorageMsg::WrAck { ts, rnd });
-            }
-            StorageMsg::Rd { read_no, rnd } => {
-                if self.reply_cache.is_none() {
-                    self.reply_cache = Some(Arc::new(self.history.clone()));
-                }
-                let history = self.reply_cache.clone().expect("cache just filled");
-                ctx.send(
-                    from,
-                    StorageMsg::RdAck {
-                        read_no,
-                        rnd,
-                        history,
-                    },
-                );
-            }
-            // Servers never receive acks; ignore (Byzantine clients could
-            // send them).
-            StorageMsg::WrAck { .. } | StorageMsg::RdAck { .. } => {}
+        let mut group = std::mem::take(&mut self.group);
+        let reply = self.handle(msg, self.store.is_some().then_some(&mut group));
+        // Write-ahead: the step's group is appended before its reply is
+        // handed to the context.
+        if let Some(store) = &self.store {
+            group.commit(store);
+        }
+        self.group = group;
+        if let Some(reply) = reply {
+            ctx.send(from, reply);
         }
     }
 

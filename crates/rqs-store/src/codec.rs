@@ -7,7 +7,7 @@
 //! documentation of exactly what each protocol persists.
 
 /// Append-only record writer.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Enc(Vec<u8>);
 
 impl Enc {
@@ -29,14 +29,31 @@ impl Enc {
         self
     }
 
-    /// Appends a length-prefixed sequence of `u64`s.
+    /// Appends a length-prefixed sequence of `u64`s (the prefix is
+    /// written as a placeholder and patched once the items are counted,
+    /// so no intermediate collection is built).
     pub fn u64s(&mut self, vs: impl IntoIterator<Item = u64>) -> &mut Self {
-        let items: Vec<u64> = vs.into_iter().collect();
-        self.u64(items.len() as u64);
-        for v in items {
+        let at = self.0.len();
+        self.u64(0);
+        let mut n = 0u64;
+        for v in vs {
             self.u64(v);
+            n += 1;
         }
+        self.0[at..at + 8].copy_from_slice(&n.to_le_bytes());
         self
+    }
+
+    /// The bytes encoded so far — for writers that keep one encoder and
+    /// [`clear`](Self::clear) it between records instead of allocating a
+    /// `Vec` per record.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Empties the encoder, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
     }
 
     /// The encoded record.
@@ -112,6 +129,19 @@ mod tests {
         assert_eq!(d.u64s(), Some(vec![1, 2, 3]));
         assert!(d.done());
         assert_eq!(d.u64(), None);
+    }
+
+    #[test]
+    fn cleared_encoder_is_reusable() {
+        let mut e = Enc::new();
+        e.u64s([9, 9]);
+        e.clear();
+        assert!(e.as_bytes().is_empty());
+        e.u64(1).u64s(std::iter::empty());
+        let mut d = Dec::new(e.as_bytes());
+        assert_eq!(d.u64(), Some(1));
+        assert_eq!(d.u64s(), Some(vec![]));
+        assert!(d.done());
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! snapshot store, behind the [`Durable`] trait.
 //!
 //! A node that must survive *amnesia* crashes (volatile state lost)
-//! appends a delta record for every externally-visible state change
-//! **before** acknowledging it, and may periodically [`install_snapshot`]
-//! to compact the log. On an amnesia restart the node is rebuilt from its
-//! store only: [`load`] returns the last installed snapshot plus every
-//! record that survived the crash.
+//! appends one record per *step* — carrying a delta for every
+//! externally-visible state change the step made — **before** any of the
+//! step's acknowledgements leave, and may periodically
+//! [`install_snapshot`] to compact the log. On an amnesia restart the
+//! node is rebuilt from its store only: [`load`] returns the last
+//! installed snapshot plus every record that survived the crash.
 //!
 //! Two backends implement the trait:
 //!
@@ -139,7 +140,11 @@ impl StoreConfig {
 /// Counters every backend maintains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Records appended to the log.
+    /// Records appended to the log. A record is the unit of a *step*,
+    /// not of a write: a server handling an envelope of several writes
+    /// appends one record carrying all their deltas, so under
+    /// `sync_every = 1` this is also the number of sync points the
+    /// protocol paid for.
     pub appends: usize,
     /// Sync points (explicit calls and auto-syncs).
     pub syncs: usize,
@@ -149,7 +154,9 @@ pub struct StoreStats {
     pub snapshot_bytes: usize,
     /// Bytes currently in the durable log (synced, framed).
     pub log_bytes: usize,
-    /// Records returned by [`Durable::load`] calls, summed.
+    /// Records returned by [`Durable::load`] calls, summed — records,
+    /// not the deltas inside them (a recovering node reports its own
+    /// delta count from `restore_state`).
     pub replayed: usize,
     /// Torn tails discarded at load.
     pub torn_discarded: usize,
@@ -191,7 +198,10 @@ pub struct Recovered {
 /// is what a recovering node reads.
 pub trait Durable: Send {
     /// Appends one record to the log (volatile until the next sync
-    /// point; auto-syncs per [`StoreConfig::sync_every`]).
+    /// point; auto-syncs per [`StoreConfig::sync_every`]). The record is
+    /// opaque here and atomic under crashes — it survives whole or not at
+    /// all — which is what lets a caller pack every delta of one step
+    /// into it and pay one sync point for the lot.
     fn append(&mut self, record: &[u8]);
 
     /// Forces the unsynced tail onto the durable medium.
@@ -322,9 +332,10 @@ impl Durable for MemDurable {
 /// The file-backed backend: `wal` and `snapshot` files under a directory.
 ///
 /// Appends buffer in memory and reach the `wal` file (with `sync_data`)
-/// at sync points; snapshots are written to a temp file and atomically
-/// renamed over `snapshot`. The crash/torn-tail simulation is identical
-/// to [`MemDurable`]'s, applied to the on-disk bytes.
+/// at sync points, through one file handle held across syncs; snapshots
+/// are written to a temp file and atomically renamed over `snapshot`.
+/// The crash/torn-tail simulation is identical to [`MemDurable`]'s,
+/// applied to the on-disk bytes.
 #[derive(Debug)]
 pub struct FileDurable {
     config: StoreConfig,
@@ -335,6 +346,10 @@ pub struct FileDurable {
     tail: BytesMut,
     /// Framed length of each unsynced record.
     tail_lens: Vec<usize>,
+    /// The `wal` file, opened for append on the first sync point and held
+    /// until something replaces the file under it (snapshot cut-over,
+    /// crash, torn-tail heal).
+    wal: Option<fs::File>,
     stats: StoreStats,
 }
 
@@ -363,6 +378,7 @@ impl FileDurable {
             dir,
             tail: BytesMut::new(),
             tail_lens: Vec::new(),
+            wal: None,
             stats: StoreStats::default(),
         };
         store.stats.log_bytes = store
@@ -382,18 +398,18 @@ impl FileDurable {
     }
 
     fn append_disk(&mut self, bytes: &[u8]) {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.wal_path())
-            .expect("open wal for append");
+        if self.wal.is_none() {
+            let f = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.wal_path())
+                .expect("open wal for append");
+            self.wal = Some(f);
+        }
+        let f = self.wal.as_mut().expect("wal handle just ensured");
         f.write_all(bytes).expect("append wal");
         f.sync_data().expect("sync wal");
-        self.stats.log_bytes = self
-            .wal_path()
-            .metadata()
-            .map(|m| m.len() as usize)
-            .unwrap_or(0);
+        self.stats.log_bytes += bytes.len();
     }
 }
 
@@ -425,6 +441,7 @@ impl Durable for FileDurable {
         let tmp = self.dir.join("snapshot.tmp");
         fs::write(&tmp, snapshot).expect("write snapshot");
         fs::rename(&tmp, self.snapshot_path()).expect("install snapshot");
+        self.wal = None;
         let _ = fs::remove_file(self.wal_path());
         self.tail.clear();
         self.tail_lens.clear();
@@ -435,14 +452,13 @@ impl Durable for FileDurable {
 
     fn crash(&mut self) {
         self.stats.crashes += 1;
-        if self.tail_lens.is_empty() {
-            return;
-        }
         self.stats.lost_unsynced += self.tail_lens.len();
-        if self.config.torn_tail {
+        if self.config.torn_tail && !self.tail_lens.is_empty() {
             let torn = self.tail[..self.tail_lens[0] / 2].to_vec();
             self.append_disk(&torn);
         }
+        // A crashed process holds no descriptors: recovery reopens.
+        self.wal = None;
         self.tail.clear();
         self.tail_lens.clear();
     }
@@ -455,6 +471,7 @@ impl Durable for FileDurable {
             let clean: usize = log.iter().map(|r| FRAME_HEADER + r.len()).sum();
             let mut healed = bytes;
             healed.truncate(clean);
+            self.wal = None;
             fs::write(self.wal_path(), &healed).expect("heal torn wal");
             self.stats.log_bytes = clean;
         }
@@ -535,10 +552,11 @@ impl StoreHandle {
         Ok(Self::new(Box::new(FileDurable::open(dir)?)))
     }
 
-    /// See [`Durable::append`].
-    pub fn append(&self, record: &[u8]) {
+    /// See [`Durable::append`]. `deltas` is how many state changes the
+    /// record carries (its group fill), reported in the trace event only.
+    pub fn append(&self, record: &[u8], deltas: usize) {
         self.inner.lock().expect("store lock").append(record);
-        self.emit(TraceKind::WalAppended, record.len() as u64, 0);
+        self.emit(TraceKind::WalAppended, record.len() as u64, deltas as u64);
     }
 
     /// See [`Durable::sync`].
@@ -700,7 +718,7 @@ mod tests {
     fn handle_is_shared() {
         let a = StoreHandle::mem();
         let b = a.clone();
-        a.append(b"x");
+        a.append(b"x", 1);
         assert_eq!(b.load().log, vec![b"x".to_vec()]);
         assert_eq!(b.stats().appends, 1);
     }
