@@ -32,7 +32,6 @@ use rqs_storage::{wal, DeltaGroup, Server, StorageMsg};
 use rqs_store::StoreHandle;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Work shipped to one shard worker of a pooled [`KvServer`].
@@ -524,7 +523,7 @@ impl Automaton<KvBatch> for KvByzantineServer {
                         msg: StorageMsg::RdAck {
                             read_no,
                             rnd,
-                            history: Arc::new(History::new()),
+                            history: History::new(),
                         },
                     });
                 }
@@ -553,7 +552,7 @@ mod tests {
     use rqs_storage::{TsVal, Value};
     use rqs_store::{Durable, MemDurable, Recovered, StoreConfig, StoreStats};
     use std::collections::BTreeSet;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     fn test_ctx() -> Context<KvBatch> {
         Context::new(NodeId(0), Time::ZERO, 0)

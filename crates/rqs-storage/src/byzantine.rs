@@ -11,7 +11,6 @@ use crate::value::TsVal;
 use rqs_sim::{Automaton, Context, NodeId};
 use std::any::Any;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A server that never replies (crash-faulty from the clients' viewpoint,
 /// but still "registered" so schedules can reference it).
@@ -73,7 +72,7 @@ impl Automaton<StorageMsg> for ForgedServer {
                     StorageMsg::RdAck {
                         read_no,
                         rnd,
-                        history: Arc::new(self.forged.clone()),
+                        history: self.forged.clone(),
                     },
                 );
             }
@@ -167,6 +166,10 @@ mod tests {
             StorageMsg::RdAck { history, .. } => {
                 assert!(history.stores(&pair, 1));
                 assert!(!history.stores(&TsVal::new(5, Value::from(5u64)), 1));
+                assert!(
+                    history.shares_spine_with(&s.forged),
+                    "the forged history is built once and handed out, not copied"
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -185,17 +188,17 @@ mod tests {
 
     #[test]
     fn scripted_server_runs_closure() {
-        let mut s = ScriptedServer::new(|from, msg, ctx| {
+        // Equivocate: claim a fabricated pair.
+        let mut forged = History::new();
+        forged.apply_write(&TsVal::new(99, Value::from(1u64)), &BTreeSet::new(), 1);
+        let mut s = ScriptedServer::new(move |from, msg, ctx| {
             if let StorageMsg::Rd { read_no, rnd } = msg {
-                // Equivocate: claim a fabricated pair.
-                let mut h = History::new();
-                h.apply_write(&TsVal::new(99, Value::from(1u64)), &BTreeSet::new(), 1);
                 ctx.send(
                     from,
                     StorageMsg::RdAck {
                         read_no,
                         rnd,
-                        history: Arc::new(h),
+                        history: forged.clone(),
                     },
                 );
             }

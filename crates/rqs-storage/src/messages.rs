@@ -5,7 +5,6 @@ use crate::value::{Timestamp, Value};
 use core::fmt;
 use rqs_core::QuorumId;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Messages exchanged between storage clients and servers.
 ///
@@ -46,12 +45,13 @@ pub enum StorageMsg {
         read_no: u64,
         /// Echoed round.
         rnd: usize,
-        /// The server's full history of the shared variable, as a shared
-        /// snapshot: the paper's histories are unbounded (§5) and each
-        /// read round makes every server re-report its whole history, so
-        /// replies share one immutable copy (refreshed on write) instead
-        /// of deep-cloning the map per ack.
-        history: Arc<History>,
+        /// The server's full history of the shared variable at the moment
+        /// it answered. The paper's histories are unbounded (§5) and each
+        /// read round makes every server re-report its whole history;
+        /// [`History`] is a persistent value, so this is an O(1) snapshot
+        /// that shares its chunks with the server's live copy and with
+        /// every other ack.
+        history: History,
     },
 }
 
@@ -90,7 +90,7 @@ mod tests {
         let ra = StorageMsg::RdAck {
             read_no: 1,
             rnd: 2,
-            history: Arc::new(History::new()),
+            history: History::new(),
         };
         assert!(ra.to_string().contains("rd_ack"));
     }

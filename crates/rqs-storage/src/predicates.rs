@@ -8,7 +8,6 @@
 use crate::history::History;
 use crate::value::{Timestamp, TsVal};
 use rqs_core::{ProcessId, ProcessSet, QuorumId, Rqs};
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// A reader's view of the system: its local copies of server histories
@@ -16,18 +15,15 @@ use std::collections::BTreeMap;
 ///
 /// `histories[i]` is the latest history received from server `i` (the
 /// empty history before any reply, matching the reader's initialization
-/// `history[∗,∗,∗] := ⟨⟨0,⊥⟩, ∅⟩`).
-///
-/// The element type is anything that borrows a [`History`]: plain
-/// `History` copies (tests, the regular reader) or the
-/// `Arc<History>` snapshots `rd_ack`s carry (the atomic reader keeps
-/// the shared snapshots as received, no deep copy per ack).
+/// `history[∗,∗,∗] := ⟨⟨0,⊥⟩, ∅⟩`). Readers keep the snapshots `rd_ack`s
+/// carry as received: a [`History`] shares its chunks with the server's
+/// copy, and every predicate below probes it through borrows.
 #[derive(Debug)]
-pub struct ReadView<'a, H: Borrow<History> = History> {
+pub struct ReadView<'a> {
     /// The refined quorum system.
     pub rqs: &'a Rqs,
     /// Per-server history copies (length = universe size).
-    pub histories: &'a [H],
+    pub histories: &'a [History],
     /// Quorums all of whose servers have replied in this read
     /// (`Responded`, lines 52–53).
     pub responded: &'a [QuorumId],
@@ -37,18 +33,13 @@ pub struct ReadView<'a, H: Borrow<History> = History> {
     pub qc2_prime: &'a [QuorumId],
 }
 
-impl<H: Borrow<History>> ReadView<'_, H> {
-    /// Server `i`'s history copy.
-    fn history(&self, i: usize) -> &History {
-        self.histories[i].borrow()
-    }
-
+impl ReadView<'_> {
     /// `read(c, i)` (line 7): server `i`'s history stores `c` in slot 1
     /// or 2. Empty slots read as the initial pair, so
     /// `read(⟨0,⊥⟩, i)` always holds.
     pub fn read_pred(&self, c: &TsVal, i: ProcessId) -> bool {
-        let h = self.history(i.index());
-        h.pair(c.ts, 1) == *c || h.pair(c.ts, 2) == *c
+        let h = &self.histories[i.index()];
+        h.pair(c.ts, 1) == c || h.pair(c.ts, 2) == c
     }
 
     /// `{si ∈ S | read(c, i)}` — the servers vouching for `c`.
@@ -70,7 +61,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
     pub fn valid1(&self, c: &TsVal, q: ProcessSet) -> bool {
         let w: ProcessSet = q
             .iter()
-            .filter(|&i| self.history(i.index()).pair(c.ts, 1) == *c)
+            .filter(|&i| self.histories[i.index()].pair(c.ts, 1) == c)
             .collect();
         self.rqs.adversary().is_basic(w)
     }
@@ -78,7 +69,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
     /// `valid2(c, Q)` (line 4): some server of `Q` stores `c` in slot 2.
     pub fn valid2(&self, c: &TsVal, q: ProcessSet) -> bool {
         q.iter()
-            .any(|i| self.history(i.index()).pair(c.ts, 2) == *c)
+            .any(|i| self.histories[i.index()].pair(c.ts, 2) == c)
     }
 
     /// `valid3(c, Q)` (line 5): there are a class-2 quorum `Q2` and a
@@ -95,10 +86,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
             let inter = q2.intersection(q);
             let w: ProcessSet = inter
                 .iter()
-                .filter(|&i| {
-                    let slot = self.history(i.index()).slot(c.ts, 1);
-                    slot.pair == *c && slot.sets.contains(&q2_id)
-                })
+                .filter(|&i| self.histories[i.index()].stores_with_quorum(c, 1, q2_id))
                 .collect();
             let m = inter.difference(w);
             if self.rqs.adversary().contains(m) && self.rqs.p3b(q2, q, m) {
@@ -138,7 +126,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
         // linear in the history size instead of quadratic.
         let mut by_ts: BTreeMap<Timestamp, Vec<usize>> = BTreeMap::new();
         for h in self.histories {
-            for c in h.borrow().reported_pairs() {
+            for c in h.reported_pairs() {
                 let bucket = by_ts.entry(c.ts).or_default();
                 if !bucket.iter().any(|&i| out[i] == c) {
                     bucket.push(out.len());
@@ -217,35 +205,33 @@ impl<H: Borrow<History>> ReadView<'_, H> {
     /// the caller runs the exact scan. Keeps a read O(quorum checks)
     /// instead of O(total history) on the hot path.
     fn select_top_fast(&self) -> Option<Option<TsVal>> {
-        let top_ts = self
-            .histories
-            .iter()
-            .map(|h| h.borrow().highest_ts())
-            .max()?;
-        let mut top: Option<TsVal> = None;
+        let top_ts = self.histories.iter().map(History::highest_ts).max()?;
+        let initial;
+        let mut top: Option<&TsVal> = None;
         if top_ts == 0 {
             // No server reported a written pair: the initial pair is the
             // sole reported (and thus sole top) pair.
-            top = Some(TsVal::initial());
+            initial = TsVal::initial();
+            top = Some(&initial);
         }
         for h in self.histories {
             for rnd in 1..=2 {
-                let pair = h.borrow().pair(top_ts, rnd);
+                let pair = h.pair(top_ts, rnd);
                 if pair.is_initial() {
                     continue;
                 }
-                match &top {
-                    Some(seen) if *seen == pair => {}
+                match top {
+                    Some(seen) if seen == pair => {}
                     Some(_) => return None, // contested top timestamp
                     None => top = Some(pair),
                 }
             }
         }
         let c = top?;
-        if self.invalid(&c) {
+        if self.invalid(c) {
             return None;
         }
-        Some(self.safe(&c).then_some(c))
+        Some(self.safe(c).then(|| c.clone()))
     }
 
     /// Quorums of class `r` (`QC_1`, `QC_2`, or the full family for 3).
@@ -272,7 +258,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
             qrs.iter().any(|&qr_id| {
                 let qr = self.rqs.quorum(qr_id);
                 q1.intersection(qr).iter().all(|i| {
-                    let slot = self.history(i.index()).slot(c.ts, r);
+                    let slot = self.histories[i.index()].slot(c.ts, r);
                     slot.pair == *c && (r != 2 || slot.sets.contains(&qr_id))
                 })
             })
@@ -293,7 +279,7 @@ impl<H: Borrow<History>> ReadView<'_, H> {
                     let qr = self.rqs.quorum(qr_id);
                     qr.intersection(q2)
                         .iter()
-                        .all(|i| self.history(i.index()).pair(c.ts, r) == *c)
+                        .all(|i| self.histories[i.index()].pair(c.ts, r) == c)
                 })
             })
             .collect()
@@ -639,7 +625,7 @@ mod tests {
     /// The exact scan of [`ReadView::select`], re-derived without the
     /// fast path: the oracle `select_top_fast` must agree with whenever
     /// it claims a definitive answer.
-    fn select_exact(view: &ReadView<History>) -> Option<TsVal> {
+    fn select_exact(view: &ReadView<'_>) -> Option<TsVal> {
         let mut pairs = view.reported_pairs();
         pairs.sort_by_key(|c| std::cmp::Reverse(c.ts));
         let live_max = pairs.iter().find(|c| !view.invalid(c)).map(|c| c.ts);

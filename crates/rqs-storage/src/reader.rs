@@ -50,7 +50,7 @@ struct Phase1 {
     read_rnd: usize,
     acks_this_round: ProcessSet,
     responded_all: ProcessSet,
-    histories: Vec<Arc<History>>,
+    histories: Vec<History>,
     timer: Option<TimerToken>,
     timer_expired: bool,
     qc2_prime: Vec<QuorumId>,
@@ -222,15 +222,12 @@ impl Reader {
             0,
         );
         let n = self.rqs.universe_size();
-        // One shared empty snapshot: every slot is replaced by the
-        // server's own `Arc` as its ack arrives.
-        let empty = Arc::new(History::new());
         let mut p1 = Phase1 {
             invoked_at: ctx.now(),
             read_rnd: 0,
             acks_this_round: ProcessSet::empty(),
             responded_all: ProcessSet::empty(),
-            histories: vec![empty; n],
+            histories: vec![History::new(); n],
             timer: None,
             timer_expired: false,
             qc2_prime: Vec::new(),
@@ -348,7 +345,7 @@ impl Reader {
             p1.highest_ts = p1
                 .histories
                 .iter()
-                .map(|h| h.highest_ts())
+                .map(History::highest_ts)
                 .max()
                 .unwrap_or(0);
             p1.qc2_prime = self.rqs.class2_within(p1.acks_this_round);
@@ -769,7 +766,7 @@ mod tests {
         let ack = || StorageMsg::RdAck {
             read_no: 1,
             rnd: 1,
-            history: Arc::new(History::new()),
+            history: History::new(),
         };
         for i in 0..4 {
             let mut c2 = Context::new(NodeId(5), Time(2), 1);

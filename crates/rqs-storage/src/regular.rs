@@ -46,7 +46,7 @@ struct InProgress {
     read_rnd: usize,
     acks_this_round: ProcessSet,
     responded_all: ProcessSet,
-    histories: Vec<Arc<History>>,
+    histories: Vec<History>,
     timer: Option<TimerToken>,
     timer_expired: bool,
     qc2_prime: Vec<QuorumId>,
@@ -100,15 +100,12 @@ impl RegularReader {
         assert!(self.is_idle(), "read already in progress");
         self.read_no += 1;
         let n = self.rqs.universe_size();
-        // One shared empty snapshot: every slot is replaced by the
-        // server's own `Arc` as its ack arrives.
-        let empty = Arc::new(History::new());
         let mut ip = InProgress {
             invoked_at: ctx.now(),
             read_rnd: 0,
             acks_this_round: ProcessSet::empty(),
             responded_all: ProcessSet::empty(),
-            histories: vec![empty; n],
+            histories: vec![History::new(); n],
             timer: None,
             timer_expired: false,
             qc2_prime: Vec::new(),
@@ -153,7 +150,7 @@ impl RegularReader {
             ip.highest_ts = ip
                 .histories
                 .iter()
-                .map(|h| h.highest_ts())
+                .map(History::highest_ts)
                 .max()
                 .unwrap_or(0);
             ip.qc2_prime = self.rqs.class2_within(ip.acks_this_round);

@@ -7,14 +7,15 @@ use crate::wal::{self, DeltaGroup};
 use rqs_sim::{Automaton, Context, NodeId};
 use rqs_store::{Recovered, StoreHandle};
 use std::any::Any;
-use std::sync::Arc;
 
 /// A benign storage server.
 ///
 /// Servers are passive: they store writes into their [`History`] and
 /// answer reads with the entire history, replying to each client message
 /// before processing any other (the round-based restriction of §3.1 —
-/// guaranteed here because a step handles exactly one message).
+/// guaranteed here because a step handles exactly one message). The
+/// history is a persistent value, so the `rd_ack` takes an O(1) snapshot
+/// of it and later writes copy only the chunk they touch.
 ///
 /// With a [`StoreHandle`] attached, every effective write is logged (a
 /// [`DeltaGroup`] of one delta per step) *before* the `wr_ack` leaves —
@@ -30,10 +31,6 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct Server {
     history: History,
-    /// Shared snapshot handed to `rd_ack`s, built lazily on the first
-    /// read after a state change: successive reads of a quiescent object
-    /// clone an `Arc` instead of the whole (unbounded, §5) history.
-    reply_cache: Option<Arc<History>>,
     store: Option<StoreHandle>,
     /// Object tag on logged deltas (0 for single-register deployments).
     obj: u64,
@@ -100,7 +97,6 @@ impl Server {
     pub fn restore_from(&mut self, rec: &Recovered) -> usize {
         let (history, replayed) = wal::restore_history(rec, self.obj);
         self.history = history;
-        self.reply_cache = None;
         replayed
     }
 
@@ -111,7 +107,6 @@ impl Server {
     /// [`Server::restore_from`].
     pub fn install_history(&mut self, history: History) {
         self.history = history;
-        self.reply_cache = None;
     }
 
     /// The step body: applies `msg` and returns the reply it calls for.
@@ -129,7 +124,6 @@ impl Server {
             StorageMsg::Wr { ts, val, sets, rnd } => {
                 let pair = TsVal::new(ts, val);
                 if self.history.apply_write(&pair, &sets, rnd) {
-                    self.reply_cache = None;
                     #[cfg(feature = "mutants")]
                     let group = group.filter(|_| !self.wal_disabled);
                     if let Some(group) = group {
@@ -138,17 +132,11 @@ impl Server {
                 }
                 Some(StorageMsg::WrAck { ts, rnd })
             }
-            StorageMsg::Rd { read_no, rnd } => {
-                let history = self
-                    .reply_cache
-                    .get_or_insert_with(|| Arc::new(self.history.clone()))
-                    .clone();
-                Some(StorageMsg::RdAck {
-                    read_no,
-                    rnd,
-                    history,
-                })
-            }
+            StorageMsg::Rd { read_no, rnd } => Some(StorageMsg::RdAck {
+                read_no,
+                rnd,
+                history: self.history.clone(),
+            }),
             // Servers never receive acks; ignore (Byzantine clients could
             // send them).
             StorageMsg::WrAck { .. } | StorageMsg::RdAck { .. } => None,
@@ -183,7 +171,6 @@ impl Automaton<StorageMsg> for Server {
 
     fn restore_state(&mut self) -> usize {
         self.history = History::new();
-        self.reply_cache = None;
         let Some(store) = self.store.clone() else {
             return 0;
         };
@@ -287,7 +274,7 @@ mod tests {
         assert!(matches!(c.sent()[0].1, StorageMsg::WrAck { .. }));
     }
 
-    fn read_snapshot(s: &mut Server, read_no: u64) -> Arc<History> {
+    fn read_snapshot(s: &mut Server, read_no: u64) -> History {
         let mut c = ctx();
         s.on_message(NodeId(8), StorageMsg::Rd { read_no, rnd: 1 }, &mut c);
         match &c.sent()[0].1 {
@@ -297,35 +284,37 @@ mod tests {
     }
 
     #[test]
-    fn quiescent_reads_share_one_snapshot() {
-        let mut s = Server::new();
-        write(&mut s, 1, 10, 1);
-        let a = read_snapshot(&mut s, 1);
-        let b = read_snapshot(&mut s, 2);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "reads of a quiescent object must clone the cached Arc"
-        );
-    }
-
-    #[test]
-    fn writes_invalidate_the_reply_snapshot() {
+    fn rd_ack_is_a_snapshot_of_its_moment() {
         let mut s = Server::new();
         write(&mut s, 1, 10, 1);
         let before = read_snapshot(&mut s, 1);
         write(&mut s, 2, 20, 1);
         let after = read_snapshot(&mut s, 2);
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert!(after.stores(&TsVal::new(2, Value::from(20u64)), 1));
-        // A write that changes nothing must not rebuild the snapshot…
+        let second = TsVal::new(2, Value::from(20u64));
+        assert!(
+            !before.stores(&second, 1),
+            "an earlier rd_ack saw a later wr"
+        );
+        assert_eq!(before.len(), 1);
+        assert!(after.stores(&second, 1));
+        assert!(after.stores(&TsVal::new(1, Value::from(10u64)), 1));
+    }
+
+    #[test]
+    fn no_op_write_and_restore_as_seen_by_rd_acks() {
+        let mut s = Server::new();
+        write(&mut s, 1, 10, 1);
         write(&mut s, 2, 20, 1);
-        let again = read_snapshot(&mut s, 3);
-        assert!(Arc::ptr_eq(&after, &again), "no-op write kept the cache");
-        // …and restores always do.
+        let after = read_snapshot(&mut s, 1);
+        // A write that changes nothing changes no reply…
+        write(&mut s, 2, 20, 1);
+        assert_eq!(read_snapshot(&mut s, 2), after);
+        // …and a restore replies empty without reaching back into the
+        // replies already sent.
         s.restore_state();
-        let restored = read_snapshot(&mut s, 4);
-        assert!(!Arc::ptr_eq(&after, &restored));
-        assert!(restored.is_empty());
+        assert!(read_snapshot(&mut s, 3).is_empty());
+        assert_eq!(after.len(), 2);
+        assert!(after.stores(&TsVal::new(2, Value::from(20u64)), 1));
     }
 
     #[test]

@@ -154,9 +154,12 @@ pub fn deltas(rec: &Recovered) -> impl Iterator<Item = StorageDelta> + '_ {
 /// Encodes one or more `(object, history)` pairs as a snapshot blob.
 ///
 /// Shared by single-object servers (one pair, tag 0) and KV servers
-/// (every object at once), so [`decode_histories`] reads both.
-pub fn encode_histories<'a>(objs: impl IntoIterator<Item = (u64, &'a History)>) -> Vec<u8> {
-    let objs: Vec<(u64, &History)> = objs.into_iter().collect();
+/// (every object at once), so [`decode_histories`] reads both. The blob
+/// opens with the object count, which the iterator must know up front.
+pub fn encode_histories<'a>(
+    objs: impl IntoIterator<Item = (u64, &'a History), IntoIter: ExactSizeIterator>,
+) -> Vec<u8> {
+    let objs = objs.into_iter();
     let mut e = Enc::new();
     e.u64(objs.len() as u64);
     for (obj, h) in objs {

@@ -37,7 +37,7 @@ fn slot2_fabrication_forces_extra_read_rounds() {
                 StorageMsg::RdAck {
                     read_no,
                     rnd,
-                    history: forged_history.clone().into(),
+                    history: forged_history.clone(),
                 },
             ),
             StorageMsg::Wr { ts, rnd, .. } => ctx.send(from, StorageMsg::WrAck { ts, rnd }),
@@ -167,19 +167,19 @@ fn degradation_is_not_sticky() {
 fn value_swapping_server_cannot_poison_reads() {
     let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
     let mut h = StorageHarness::new(rqs, 2);
+    // Swap: claim ts1 stored value 999.
+    let mut swapped = History::new();
+    swapped.apply_write(&TsVal::new(1, Value::from(999u64)), &BTreeSet::new(), 2);
     h.make_byzantine(
         2,
-        Box::new(ScriptedServer::new(|from, msg, ctx| match msg {
+        Box::new(ScriptedServer::new(move |from, msg, ctx| match msg {
             StorageMsg::Rd { read_no, rnd } => {
-                // Swap: claim ts1 stored value 999.
-                let mut hist = History::new();
-                hist.apply_write(&TsVal::new(1, Value::from(999u64)), &BTreeSet::new(), 2);
                 ctx.send(
                     from,
                     StorageMsg::RdAck {
                         read_no,
                         rnd,
-                        history: hist.into(),
+                        history: swapped.clone(),
                     },
                 );
             }
