@@ -6,8 +6,7 @@
 //! `exp_chaos --quick --json` as a smoke step.
 fn main() {
     let args = bench::cli::ExpArgs::parse();
-    let params = bench::exp_chaos::ChaosParams::for_mode(args.quick)
-        .with_overrides(args.pipeline, args.workers);
+    let params = bench::exp_chaos::ChaosParams::for_mode(args.quick).with_overrides(args.pipeline);
     let run = bench::exp_chaos::run_chaos(args.seed, params);
     let ok = bench::exp_chaos::passed(params, &run);
     args.emit(&[bench::exp_chaos::render(args.seed, params, &run)]);

@@ -12,8 +12,7 @@ fn main() {
         Some(r) => r.clone(),
         None => Arc::new(NopTracer),
     };
-    let params =
-        bench::exp_kv::KvParams::for_mode(args.quick).with_overrides(args.pipeline, args.workers);
+    let params = bench::exp_kv::KvParams::for_mode(args.quick).with_overrides(args.pipeline);
     let reports = [
         bench::exp_kv::batching_report_params(args.seed, params),
         bench::exp_kv::substrate_report_traced(args.seed, params, tracer),

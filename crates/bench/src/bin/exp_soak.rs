@@ -15,8 +15,7 @@ fn main() {
         Some(r) => r.clone(),
         None => Arc::new(NopTracer),
     };
-    let params = bench::exp_soak::SoakParams::for_mode(args.quick)
-        .with_overrides(args.pipeline, args.workers);
+    let params = bench::exp_soak::SoakParams::for_mode(args.quick).with_overrides(args.pipeline);
     let run = bench::exp_soak::run_soak_traced(args.seed, params, tracer);
     let violated = run.sidecar.verdict.is_err();
     let events = rec.map(|r| r.snapshot()).unwrap_or_default();

@@ -13,9 +13,6 @@
 //! - `--pipeline N` — per-lane client pipeline depth for the KV-driving
 //!   experiments (depth 1 = classic one-op-per-lane waves); experiments
 //!   without a KV workload accept and ignore it.
-//! - `--workers N` — shard workers per KV server on the threaded runtime
-//!   (0 = process batches on the node thread); simulator-only
-//!   experiments accept and ignore it.
 //! - `--trace PATH` — write a Chrome `trace_event` JSON export of the
 //!   run's flight-recorder events to `PATH` (load it in
 //!   `chrome://tracing` / Perfetto). Binaries without an instrumented
@@ -40,9 +37,6 @@ pub struct ExpArgs {
     /// Per-lane client pipeline depth override (`--pipeline N`); `None`
     /// keeps the experiment's default.
     pub pipeline: Option<usize>,
-    /// Shard workers per KV server override (`--workers N`); `None`
-    /// keeps the experiment's default.
-    pub workers: Option<usize>,
     /// Chrome trace-event export path (`--trace PATH`), if requested.
     pub trace: Option<String>,
     /// Usage was requested (`--help` / `-h`).
@@ -56,7 +50,6 @@ impl Default for ExpArgs {
             json: false,
             quick: false,
             pipeline: None,
-            workers: None,
             trace: None,
             help: false,
         }
@@ -68,8 +61,8 @@ impl ExpArgs {
     /// available flag.
     pub fn usage() -> String {
         [
-            "usage: exp_* [--seed N] [--json] [--quick] [--pipeline N] [--workers N]",
-            "             [--trace PATH] [--help]",
+            "usage: exp_* [--seed N] [--json] [--quick] [--pipeline N] [--trace PATH]",
+            "             [--help]",
             "",
             "options:",
             "  --seed N, --seed=N  workload/RNG seed (default 42); purely",
@@ -79,9 +72,6 @@ impl ExpArgs {
             "  --pipeline N        per-lane client pipeline depth for KV workloads",
             "                      (1 = classic one-op-per-lane waves); experiments",
             "                      without a KV workload accept and ignore it",
-            "  --workers N         shard workers per KV server on the threaded runtime",
-            "                      (0 = process batches on the node thread); ignored",
-            "                      by simulator-only experiments",
             "  --trace PATH        write a Chrome trace-event JSON export of the run's",
             "                      flight-recorder events to PATH (chrome://tracing)",
             "  -h, --help          print this help and exit",
@@ -137,11 +127,6 @@ impl ExpArgs {
             } else {
                 arg.strip_prefix("--pipeline=").map(str::to_owned)
             };
-            let workers_val = if arg == "--workers" {
-                Some(it.next().ok_or("--workers requires a value")?)
-            } else {
-                arg.strip_prefix("--workers=").map(str::to_owned)
-            };
             if let Some(val) = seed_val {
                 out.seed = val
                     .parse()
@@ -154,11 +139,6 @@ impl ExpArgs {
                     return Err("--pipeline: depth must be at least 1".to_string());
                 }
                 out.pipeline = Some(depth);
-            } else if let Some(val) = workers_val {
-                out.workers = Some(
-                    val.parse()
-                        .map_err(|_| format!("--workers: not a usize: {val:?}"))?,
-                );
             } else if let Some(path) = trace_val {
                 if path.is_empty() {
                     return Err("--trace requires a non-empty path".to_string());
@@ -248,19 +228,18 @@ mod tests {
         assert!(ExpArgs::try_from_iter(["--pipeline"]).is_err());
         assert!(ExpArgs::try_from_iter(["--pipeline", "x"]).is_err());
         assert!(ExpArgs::try_from_iter(["--pipeline", "0"]).is_err());
-        assert!(ExpArgs::try_from_iter(["--workers", "many"]).is_err());
+        // The shard-worker knob went with the pool it configured.
+        let err = ExpArgs::try_from_iter(["--workers", "2"]).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
     }
 
     #[test]
-    fn pipeline_and_workers_both_spellings() {
-        let a = ExpArgs::try_from_iter(["--pipeline", "4", "--workers", "2"]).unwrap();
+    fn pipeline_both_spellings() {
+        let a = ExpArgs::try_from_iter(["--pipeline", "4"]).unwrap();
         assert_eq!(a.pipeline, Some(4));
-        assert_eq!(a.workers, Some(2));
-        let b = ExpArgs::try_from_iter(["--pipeline=8", "--workers=0"]).unwrap();
+        let b = ExpArgs::try_from_iter(["--pipeline=8"]).unwrap();
         assert_eq!(b.pipeline, Some(8));
-        assert_eq!(b.workers, Some(0), "0 explicitly disables the pool");
-        let d = ExpArgs::default();
-        assert_eq!((d.pipeline, d.workers), (None, None));
+        assert_eq!(ExpArgs::default().pipeline, None);
     }
 
     #[test]
@@ -288,7 +267,6 @@ mod tests {
             "--json",
             "--quick",
             "--pipeline",
-            "--workers",
             "--trace",
             "--help",
         ] {

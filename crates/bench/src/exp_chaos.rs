@@ -49,9 +49,6 @@ pub struct ChaosParams {
     /// waves). Kept moderate here: deeper pipelines widen the blast
     /// radius of each crash window.
     pub pipeline: usize,
-    /// Shard workers per KV server (0 = process batches on the node
-    /// thread). Crash/restart cycles quiesce and respawn the pool.
-    pub workers: usize,
     /// Wall-clock tick length of the threaded runtime, in microseconds.
     pub tick_us: u64,
     /// Amnesia crash/restart cycles injected between workload segments.
@@ -73,7 +70,6 @@ impl ChaosParams {
             ops: 100_000,
             batch: 16,
             pipeline: 2,
-            workers: 2,
             tick_us: 50,
             crash_cycles: 20,
             drop_every: 6,
@@ -89,7 +85,6 @@ impl ChaosParams {
             ops: 2000,
             batch: 8,
             pipeline: 2,
-            workers: 2,
             tick_us: 50,
             crash_cycles: 4,
             drop_every: 6,
@@ -106,13 +101,10 @@ impl ChaosParams {
         }
     }
 
-    /// Applies `--pipeline` / `--workers` command-line overrides.
-    pub fn with_overrides(mut self, pipeline: Option<usize>, workers: Option<usize>) -> Self {
+    /// Applies the `--pipeline` command-line override.
+    pub fn with_overrides(mut self, pipeline: Option<usize>) -> Self {
         if let Some(depth) = pipeline {
             self.pipeline = depth;
-        }
-        if let Some(workers) = workers {
-            self.workers = workers;
         }
         self
     }
@@ -200,9 +192,6 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
     kv.enable_checker_sidecar();
     if params.pipeline > 1 {
         kv.set_pipeline(params.pipeline);
-    }
-    if params.workers > 0 {
-        kv.enable_worker_pool(params.workers);
     }
     // Generous retry budget, but with backoff calibrated above the p99
     // of the fsync-dominated op latency of the file-backed stores
@@ -301,14 +290,13 @@ pub fn report(seed: u64, quick: bool) -> Report {
 pub fn render(seed: u64, params: ChaosParams, run: &ChaosRun) -> Report {
     let mut r = Report::new("E19 (crash-recovery chaos soak)");
     r.note(format!(
-        "{} ops, {} objects, {} clients, batch {}, pipeline {}, {} workers/server, \
+        "{} ops, {} objects, {} clients, batch {}, pipeline {}, \
          {}us tick, seed {seed}, threaded runtime, {} stores",
         params.ops,
         params.objects,
         params.clients,
         params.batch,
         params.pipeline,
-        params.workers,
         params.tick_us,
         if params.file_backed {
             "file-backed"
@@ -427,7 +415,6 @@ mod tests {
             ops: 120,
             batch: 4,
             pipeline: 1,
-            workers: 0,
             tick_us: 50,
             crash_cycles: 2,
             drop_every: 6,

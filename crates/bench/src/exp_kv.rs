@@ -29,9 +29,6 @@ pub struct KvParams {
     /// keeps depth 1 so the sim rows stay comparable with the
     /// pre-pipelining trajectory; override with `--pipeline`.
     pub pipeline: usize,
-    /// Shard workers per server on the threaded-runtime row (0 = node
-    /// thread); the simulator rows ignore it.
-    pub workers: usize,
 }
 
 impl KvParams {
@@ -42,7 +39,6 @@ impl KvParams {
             clients: 4,
             ops: 240,
             pipeline: 1,
-            workers: 0,
         }
     }
 
@@ -53,7 +49,6 @@ impl KvParams {
             clients: 2,
             ops: 40,
             pipeline: 1,
-            workers: 0,
         }
     }
 
@@ -66,13 +61,10 @@ impl KvParams {
         }
     }
 
-    /// Applies `--pipeline` / `--workers` command-line overrides.
-    pub fn with_overrides(mut self, pipeline: Option<usize>, workers: Option<usize>) -> Self {
+    /// Applies the `--pipeline` command-line override.
+    pub fn with_overrides(mut self, pipeline: Option<usize>) -> Self {
         if let Some(depth) = pipeline {
             self.pipeline = depth;
-        }
-        if let Some(workers) = workers {
-            self.workers = workers;
         }
         self
     }
@@ -162,9 +154,6 @@ pub fn run_threaded(seed: u64, params: KvParams, batch: usize) -> KvRunStats {
     if params.pipeline > 1 {
         kv.set_pipeline(params.pipeline);
     }
-    if params.workers > 0 {
-        kv.enable_worker_pool(params.workers);
-    }
     let cfg = params.workload_config(seed);
     let stats = kv.run_workload(&workload::generate(&cfg), batch);
     kv.shutdown();
@@ -247,8 +236,8 @@ fn substrate_report_inner(
     let mut r = Report::new("E15b (rqs-kv substrates)");
     r.note(format!(
         "{} objects, {} clients, {} mixed ops, batch {batch}, pipeline {}, \
-         {} workers/server (threaded row), seed {seed}",
-        params.objects, params.clients, params.ops, params.pipeline, params.workers
+         seed {seed}",
+        params.objects, params.clients, params.ops, params.pipeline
     ));
     r.note("sim rows are atomicity-checked per object (incl. 1 forging Byzantine server)");
     r.note("slow-path column attributes off-fast-path ops to the paper's degradation causes");

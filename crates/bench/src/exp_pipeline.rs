@@ -1,13 +1,11 @@
-//! **E20 (hot-path throughput sweep)** — the client-pipelining ×
-//! server-sharding grid on the threaded runtime:
+//! **E20 (hot-path throughput sweep)** — the client-pipelining sweep
+//! on the threaded runtime:
 //!
-//! - each cell runs the same seeded mixed workload with a per-lane
-//!   client pipeline depth and a per-server shard-worker count, every
-//!   operation validated by the checker sidecar while the workload
-//!   runs;
+//! - each cell runs the same seeded mixed workload at one per-lane
+//!   client pipeline depth, every operation validated by the checker
+//!   sidecar while the workload runs;
 //! - the report records ops/sec per cell and the speedup over the
-//!   depth-1 / unsharded baseline cell — the tentpole claim is that
-//!   depth ≥ 4 with ≥ 2 workers at least doubles soak throughput;
+//!   depth-1 baseline cell;
 //! - atomicity is non-negotiable: the binary exits non-zero if *any*
 //!   cell's sidecar reports a violation, so CI can run
 //!   `exp_pipeline --quick --json` as a smoke step.
@@ -23,7 +21,7 @@ use rqs_kv::{workload, RetryPolicy, RtKv, WorkloadConfig};
 use rqs_sim::Scenario;
 use std::time::Duration;
 
-/// Sweep dimensions (the workload shape; the grid is
+/// Sweep dimensions (the workload shape; the depths are
 /// [`PipelineParams::grid`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineParams {
@@ -39,8 +37,6 @@ pub struct PipelineParams {
     pub tick_us: u64,
     /// `--pipeline N` override: sweep only this depth.
     pub pipeline: Option<usize>,
-    /// `--workers N` override: sweep only this worker count.
-    pub workers: Option<usize>,
 }
 
 impl PipelineParams {
@@ -53,7 +49,6 @@ impl PipelineParams {
             batch: 16,
             tick_us: 50,
             pipeline: None,
-            workers: None,
         }
     }
 
@@ -66,7 +61,6 @@ impl PipelineParams {
             batch: 16,
             tick_us: 50,
             pipeline: None,
-            workers: None,
         }
     }
 
@@ -79,36 +73,22 @@ impl PipelineParams {
         }
     }
 
-    /// Applies `--pipeline` / `--workers` command-line overrides: each
-    /// pins its axis of the grid to the single given value.
-    pub fn with_overrides(mut self, pipeline: Option<usize>, workers: Option<usize>) -> Self {
+    /// Applies the `--pipeline` command-line override: sweep only the
+    /// given depth.
+    pub fn with_overrides(mut self, pipeline: Option<usize>) -> Self {
         self.pipeline = pipeline.or(self.pipeline);
-        self.workers = workers.or(self.workers);
         self
     }
 
-    /// The `(depth, workers)` grid: the depth-1/unsharded baseline
-    /// first, then each axis alone, then the combined cells. CLI
-    /// overrides pin an axis to one value (the baseline cell is kept so
-    /// speedups stay anchored).
-    pub fn grid(&self) -> Vec<(usize, usize)> {
-        let depths: Vec<usize> = match self.pipeline {
-            Some(d) => vec![d],
+    /// The depths swept: the depth-1 baseline first, then 4 and 8 — or,
+    /// under a `--pipeline` override, the baseline and that one depth
+    /// (the baseline cell is kept so speedups stay anchored).
+    pub fn grid(&self) -> Vec<usize> {
+        match self.pipeline {
+            Some(1) => vec![1],
+            Some(d) => vec![1, d],
             None => vec![1, 4, 8],
-        };
-        let workers: Vec<usize> = match self.workers {
-            Some(w) => vec![w],
-            None => vec![0, 2],
-        };
-        let mut cells = vec![(1, 0)];
-        for &w in &workers {
-            for &d in &depths {
-                if !cells.contains(&(d, w)) {
-                    cells.push((d, w));
-                }
-            }
         }
-        cells
     }
 }
 
@@ -116,8 +96,6 @@ impl PipelineParams {
 pub struct PipelineCell {
     /// Client pipeline depth of the cell.
     pub depth: usize,
-    /// Shard workers per server (0 = node thread).
-    pub workers: usize,
     /// Wall-clock ops/sec of the workload phase.
     pub ops_per_sec: f64,
     /// p50 operation latency in ticks.
@@ -132,9 +110,9 @@ pub struct PipelineCell {
     pub violation: Option<String>,
 }
 
-/// Runs one `(depth, workers)` cell: threaded runtime, sidecar
-/// validation, fresh deployment.
-pub fn run_cell(seed: u64, params: PipelineParams, depth: usize, workers: usize) -> PipelineCell {
+/// Runs one depth's cell: threaded runtime, sidecar validation, fresh
+/// deployment.
+pub fn run_cell(seed: u64, params: PipelineParams, depth: usize) -> PipelineCell {
     let rqs = ThresholdConfig::byzantine_fast(1)
         .build()
         .expect("valid rqs");
@@ -150,11 +128,8 @@ pub fn run_cell(seed: u64, params: PipelineParams, depth: usize, workers: usize)
     if depth > 1 {
         kv.set_pipeline(depth);
     }
-    if workers > 0 {
-        kv.enable_worker_pool(workers);
-    }
     // Fault-free links: calibrate the watchdog above scheduler jitter
-    // so the sweep measures pipelining/sharding, not nudge storms (see
+    // so the sweep measures pipelining, not nudge storms (see
     // the calibration note in `exp_soak`).
     kv.set_retry_policy(RetryPolicy {
         max_retries: 8,
@@ -171,7 +146,6 @@ pub fn run_cell(seed: u64, params: PipelineParams, depth: usize, workers: usize)
     kv.shutdown();
     PipelineCell {
         depth,
-        workers,
         ops_per_sec: stats.ops as f64 / wall,
         p50: stats.latency_percentile(50.0),
         p99: stats.latency_percentile(99.0),
@@ -189,7 +163,7 @@ pub fn run_sweep(seed: u64, params: PipelineParams) -> Vec<PipelineCell> {
     params
         .grid()
         .into_iter()
-        .map(|(depth, workers)| run_cell(seed, params, depth, workers))
+        .map(|depth| run_cell(seed, params, depth))
         .collect()
 }
 
@@ -215,13 +189,12 @@ pub fn render(seed: u64, params: PipelineParams, cells: &[PipelineCell]) -> Repo
         params.ops, params.objects, params.clients, params.batch, params.tick_us
     ));
     r.note(
-        "speedup is relative to the depth-1/unsharded baseline cell; \
+        "speedup is relative to the depth-1 baseline cell; \
          per-object SWMR order holds at every depth",
     );
     let baseline = cells.first().map_or(0.0, |c| c.ops_per_sec).max(1e-9);
     r.headers([
         "pipeline",
-        "workers",
         "ops/sec",
         "speedup",
         "p50",
@@ -233,7 +206,6 @@ pub fn render(seed: u64, params: PipelineParams, cells: &[PipelineCell]) -> Repo
     for c in cells {
         r.row([
             c.depth.to_string(),
-            c.workers.to_string(),
             format!("{:.0}", c.ops_per_sec),
             format!("{:.2}x", c.ops_per_sec / baseline),
             format!("{} ticks", c.p50),
@@ -254,19 +226,12 @@ mod tests {
 
     #[test]
     fn grid_always_anchors_the_baseline_cell() {
-        let grid = PipelineParams::quick().grid();
-        assert_eq!(grid[0], (1, 0), "baseline first");
-        assert!(grid.contains(&(4, 2)), "acceptance cell present");
-        assert_eq!(
-            grid.iter().collect::<std::collections::BTreeSet<_>>().len(),
-            grid.len(),
-            "no duplicate cells"
-        );
-        // Overrides pin an axis but keep the baseline anchor.
-        let pinned = PipelineParams::quick()
-            .with_overrides(Some(4), Some(2))
-            .grid();
-        assert_eq!(pinned, vec![(1, 0), (4, 2)]);
+        assert_eq!(PipelineParams::quick().grid(), vec![1, 4, 8]);
+        // An override pins the depth but keeps the baseline anchor,
+        // without duplicating it.
+        let pinned = |d| PipelineParams::quick().with_overrides(Some(d)).grid();
+        assert_eq!(pinned(4), vec![1, 4]);
+        assert_eq!(pinned(1), vec![1]);
     }
 
     /// A tiny two-cell sweep: every cell validates atomic and the
@@ -281,7 +246,6 @@ mod tests {
             batch: 8,
             tick_us: 50,
             pipeline: Some(4),
-            workers: Some(2),
         };
         let cells = run_sweep(11, params);
         assert_eq!(cells.len(), 2);
@@ -290,8 +254,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("E20"));
         assert_eq!(r.cell("atomicity", |row| row[0] == "4"), Some("ok"));
-        assert!(r
-            .cell("speedup", |row| row[0] == "1" && row[1] == "0")
-            .is_some());
+        assert!(r.cell("speedup", |row| row[0] == "1").is_some());
     }
 }

@@ -34,9 +34,6 @@ pub struct SoakParams {
     /// Per-lane client pipeline depth (≥ 1; 1 = classic one-op-per-lane
     /// waves).
     pub pipeline: usize,
-    /// Shard workers per KV server (0 = process batches on the node
-    /// thread).
-    pub workers: usize,
     /// Wall-clock tick length of the threaded runtime, in microseconds.
     pub tick_us: u64,
 }
@@ -57,7 +54,6 @@ impl SoakParams {
             ops: 1_000_000,
             batch: 16,
             pipeline: 8,
-            workers: 2,
             tick_us: 50,
         }
     }
@@ -70,7 +66,6 @@ impl SoakParams {
             ops: 4000,
             batch: 16,
             pipeline: 8,
-            workers: 2,
             tick_us: 50,
         }
     }
@@ -84,13 +79,10 @@ impl SoakParams {
         }
     }
 
-    /// Applies `--pipeline` / `--workers` command-line overrides.
-    pub fn with_overrides(mut self, pipeline: Option<usize>, workers: Option<usize>) -> Self {
+    /// Applies the `--pipeline` command-line override.
+    pub fn with_overrides(mut self, pipeline: Option<usize>) -> Self {
         if let Some(depth) = pipeline {
             self.pipeline = depth;
-        }
-        if let Some(workers) = workers {
-            self.workers = workers;
         }
         self
     }
@@ -135,9 +127,6 @@ pub fn run_soak_traced(seed: u64, params: SoakParams, tracer: ObsHandle) -> Soak
     if params.pipeline > 1 {
         kv.set_pipeline(params.pipeline);
     }
-    if params.workers > 0 {
-        kv.enable_worker_pool(params.workers);
-    }
     // Nothing is lost on the soak's fault-free links, so a nudge can
     // only ever be congestion misread as loss. The default watchdog is
     // calibrated for simulator ticks; on the threaded runtime,
@@ -177,15 +166,9 @@ pub fn report(seed: u64, quick: bool) -> Report {
 pub fn render(seed: u64, params: SoakParams, run: &SoakRun) -> Report {
     let mut r = Report::new("E18 (streaming-validation soak)");
     r.note(format!(
-        "{} ops, {} objects, {} clients, batch {}, pipeline {}, {} workers/server, \
+        "{} ops, {} objects, {} clients, batch {}, pipeline {}, \
          {}us tick, seed {seed}, threaded runtime",
-        params.ops,
-        params.objects,
-        params.clients,
-        params.batch,
-        params.pipeline,
-        params.workers,
-        params.tick_us
+        params.ops, params.objects, params.clients, params.batch, params.pipeline, params.tick_us
     ));
     r.note(
         "every op is atomicity-checked by the sidecar while the workload runs; \
@@ -268,7 +251,6 @@ mod tests {
             ops: 200,
             batch: 8,
             pipeline: 2,
-            workers: 1,
             tick_us: 50,
         };
         let run = run_soak(11, params);

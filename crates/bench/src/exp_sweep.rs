@@ -6,9 +6,10 @@
 //! - Property 2 ⇔ `n > t + 2k + 2q`
 //! - Property 3 ⇔ `n > t + r + k + min(k, q)`
 //!
-//! The sweep builds every parameter combination, runs [`Rqs::verify`],
-//! and reports any disagreement (there must be none), plus the minimal-`n`
-//! table `n = t + k + max(t, k+2q, r+min(k,q)) + 1`.
+//! The sweep builds every parameter combination, runs
+//! [`Rqs::verify`](rqs_core::Rqs::verify), and reports any disagreement
+//! (there must be none), plus the minimal-`n` table
+//! `n = t + k + max(t, k+2q, r+min(k,q)) + 1`.
 
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;

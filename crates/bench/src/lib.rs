@@ -26,10 +26,10 @@
 //! | E17 | schedule exploration (model checking) | [`exp_explore`] |
 //! | E18 | streaming-validation soak (threaded + sidecar) | [`exp_soak`] |
 //! | E19 | crash-recovery chaos soak (WAL + amnesia + retries) | [`exp_chaos`] |
-//! | E20 | hot-path throughput sweep (pipelining × sharding) | [`exp_pipeline`] |
+//! | E20 | hot-path throughput sweep (client pipeline depth) | [`exp_pipeline`] |
 //!
 //! Every binary accepts `--seed N`, `--json`, `--quick`, and the
-//! KV-relevant `--pipeline N` / `--workers N` (see [`cli::ExpArgs`]).
+//! KV-relevant `--pipeline N` (see [`cli::ExpArgs`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,7 +4,7 @@
 //! in message delays.
 //!
 //! [`ConsensusDeployment`] is written once against
-//! [`Substrate`](rqs_sim::Substrate); [`ConsensusHarness`] is its
+//! [`Substrate`]; [`ConsensusHarness`] is its
 //! deterministic-simulator alias (with extra sim-only scripting methods)
 //! and `rqs_runtime::RtConsensus` wraps the same driver on the threaded
 //! runtime.

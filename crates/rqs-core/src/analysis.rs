@@ -1,7 +1,7 @@
 //! Quantitative analysis of refined quorum systems.
 //!
 //! The paper's concluding remarks (§6) list open directions: the *load* and
-//! *availability* of RQS in the sense of Naor & Wool [44], and counting the
+//! *availability* of RQS in the sense of Naor & Wool \[44\], and counting the
 //! RQS admitted by a given adversary. This module provides the measurement
 //! machinery for experiment **E10**:
 //!

@@ -1,7 +1,7 @@
 //! Classical Byzantine quorum systems (the paper's Example 4).
 //!
 //! A refined quorum system with `QC1 = QC2 = ∅` is a **dissemination**
-//! quorum system in the sense of Malkhi–Reiter [40] (for self-verifying
+//! quorum system in the sense of Malkhi–Reiter \[40\] (for self-verifying
 //! data), and one with `QC1 = ∅, QC2 = RQS` is a **masking** quorum
 //! system (for unauthenticated data). This module provides their
 //! existence conditions and canonical constructions, for both threshold

@@ -40,7 +40,7 @@ impl fmt::Display for QuorumId {
 
 /// Quorum class (1, 2 or 3). Class 1 ⊆ class 2 ⊆ class 3.
 ///
-/// [`QuorumClass::best`] on a quorum returns the *strongest* class it
+/// [`Rqs::class_of`] on a quorum returns the *strongest* class it
 /// belongs to; a class-1 quorum is also a class-2 and class-3 quorum.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum QuorumClass {

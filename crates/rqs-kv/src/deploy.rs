@@ -16,7 +16,7 @@
 //!   channels, real wall-clock latency.
 //!
 //! Fault injection goes through a declarative
-//! [`Scenario`](rqs_sim::Scenario): partitions with heal times, lossy or
+//! [`Scenario`]: partitions with heal times, lossy or
 //! duplicating links, crash-restart plans and Byzantine swap-ins run on
 //! *both* substrates from the same description.
 
@@ -35,7 +35,7 @@ use rqs_sim::{
 use rqs_storage::atomicity::{AtomicityViolation, OpRecord};
 use rqs_storage::checker::{AtomicityChecker, CheckerStats};
 use rqs_store::{StoreHandle, StoreStats};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,12 +97,6 @@ pub struct KvDeployment<S: Substrate<KvBatch>> {
     /// Per-lane pipeline depth driven into every client (1 = classic
     /// one-op-per-lane waves).
     pipeline: usize,
-    /// Server indices currently running Byzantine automatons (worker
-    /// pools skip them: they are not [`KvServer`]s).
-    byzantine: BTreeSet<usize>,
-    /// Shard workers per benign server (0 = unpooled node-thread
-    /// processing; only ever nonzero on the threaded runtime).
-    workers: usize,
 }
 
 /// The deterministic simulated KV deployment (back-compat alias).
@@ -249,8 +243,6 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
             tracer,
             fault_windows,
             pipeline: 1,
-            byzantine: byzantine.into_iter().collect(),
-            workers: 0,
         }
     }
 
@@ -288,14 +280,8 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
     /// Replaces server `idx` with a Byzantine automaton behaving per
     /// `mode` on every object — on either substrate.
     pub fn make_byzantine(&mut self, idx: usize, mode: ByzantineMode) {
-        self.byzantine.insert(idx);
         self.sub
             .replace_node(self.servers[idx], Box::new(KvByzantineServer::new(mode)));
-    }
-
-    /// Shard workers per benign server (0 = unpooled).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Crashes server `idx` in the given [`CrashMode`] (amnesia requires
@@ -545,7 +531,7 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
 
     /// Aggregated counters of the per-object streaming checkers (empty
     /// while a sidecar owns the checking — see
-    /// [`SidecarReport`](rqs_runtime::SidecarReport)).
+    /// [`SidecarReport`]).
     pub fn checker_stats(&self) -> CheckerStats {
         let mut agg = CheckerStats::default();
         for c in self.checkers.values() {
@@ -582,7 +568,7 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
     /// linearization.
     ///
     /// When a sidecar owns the checking, the verdict lives in its
-    /// [`SidecarReport`](rqs_runtime::SidecarReport) instead.
+    /// [`SidecarReport`] instead.
     ///
     /// # Errors
     ///
@@ -682,32 +668,6 @@ impl RtKv {
     /// verdict and aggregated counters.
     pub fn finish_sidecar(&mut self) -> Option<SidecarReport> {
         self.sidecar.take().map(CheckerSidecar::finish)
-    }
-
-    /// Shards every benign server's object state across `workers`
-    /// dedicated threads (objects hash to workers, replies flow through
-    /// the runtime's network handle) — the server-side half of the
-    /// hot-path throughput work. Byzantine servers are skipped: they are
-    /// not [`KvServer`]s. Call before running workloads; threaded
-    /// runtime only, since the deterministic simulator has no real
-    /// threads to shard over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or a pool is already enabled.
-    pub fn enable_worker_pool(&mut self, workers: usize) {
-        assert!(workers >= 1, "a worker pool needs at least one worker");
-        assert_eq!(self.workers, 0, "worker pool already enabled");
-        self.workers = workers;
-        for (idx, &sid) in self.servers.clone().iter().enumerate() {
-            if self.byzantine.contains(&idx) {
-                continue;
-            }
-            let net = self.sub.net_handle();
-            self.sub.invoke_on::<KvServer>(sid, move |s, ctx| {
-                s.enable_worker_pool(workers, ctx.me(), net)
-            });
-        }
     }
 }
 
@@ -1141,11 +1101,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_kv_with_worker_pool_and_pipeline() {
+    fn threaded_kv_pipelined_workload_is_atomic() {
         let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
         let mut kv = RtKv::with_tick(rqs, 8, 2, Duration::from_millis(1));
-        kv.enable_worker_pool(2);
-        assert_eq!(kv.workers(), 2);
         kv.set_pipeline(4);
         let cfg = WorkloadConfig::mixed(8, 2, 48, 37);
         let stats = kv.run_workload(&generate(&cfg), 4);
@@ -1155,10 +1113,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_pooled_server_survives_amnesia_crash() {
-        // Durable pooled servers: checkpoint gathers the shards into one
-        // snapshot, an amnesia restart drains the shards, reloads the
-        // shared store, and re-installs each worker's slice.
+    fn threaded_durable_server_survives_checkpoint_and_amnesia_crash() {
+        // Durable servers on real threads: checkpoint cuts one snapshot
+        // of the whole bank, an amnesia restart reloads the store and
+        // replays the log tail behind it.
         let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
         let stores: Vec<StoreHandle> = (0..5).map(|_| StoreHandle::mem()).collect();
         let mut kv = RtKv::with_setup_stores(
@@ -1169,12 +1127,11 @@ mod tests {
             Duration::from_millis(1),
             stores,
         );
-        kv.enable_worker_pool(2);
         let cfg = WorkloadConfig::mixed(8, 2, 24, 41);
         kv.run_workload(&generate(&cfg), 4);
-        kv.checkpoint_server(1); // pooled save_state: barrier + gather
+        kv.checkpoint_server(1);
         kv.crash_server(1, CrashMode::Amnesia);
-        kv.restart_server(1); // pooled restore_state: barrier + install
+        kv.restart_server(1);
         let cfg = WorkloadConfig::mixed(8, 2, 24, 43);
         let stats = kv.run_workload(&generate(&cfg), 4);
         assert_eq!(stats.ops, 24);
@@ -1257,13 +1214,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_pipelined_writes_commit_one_group_per_worker_batch() {
-        // Two shard workers per server share one store handle. Each
-        // worker commits its own group per batch it is handed: every
-        // record is whole (appends == syncs, the deltas the stores report
-        // are exactly the deltas recoverable from the logs), and the
-        // service stays per-object atomic across an amnesia crash that
-        // rebuilds both shards from the shared log.
+    fn threaded_pipelined_writes_log_exactly_the_traced_deltas() {
+        // Pipelined writes on real threads commit one group per envelope:
+        // every record is whole (appends == syncs, the deltas the stores
+        // report are exactly the deltas recoverable from the logs), and
+        // the service stays per-object atomic across an amnesia crash
+        // that rebuilds the bank from the log.
         let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
         let stores: Vec<StoreHandle> = (0..5).map(|_| StoreHandle::mem()).collect();
         let rec = Arc::new(rqs_obs::FlightRecorder::new(1 << 14));
@@ -1276,7 +1232,6 @@ mod tests {
             stores,
             rec,
         );
-        kv.enable_worker_pool(2);
         kv.set_pipeline(4);
         let writes = |ops, seed| WorkloadConfig {
             read_percent: 10,
@@ -1305,25 +1260,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_skips_byzantine_servers() {
-        let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
-        let mut kv = RtKv::with_tick(rqs, 4, 2, Duration::from_millis(1));
-        kv.make_byzantine(0, ByzantineMode::Forge);
-        kv.enable_worker_pool(2); // must not downcast-invoke the forger
-        let cfg = WorkloadConfig::mixed(4, 2, 16, 47);
-        let stats = kv.run_workload(&generate(&cfg), 2);
-        assert_eq!(stats.ops, 16);
-        kv.check_atomicity().unwrap();
-        kv.shutdown();
-    }
-
-    #[test]
     fn threaded_kv_byzantine_universe() {
         let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
         let mut kv = RtKv::with_tick(rqs, 4, 2, Duration::from_millis(1));
+        kv.make_byzantine(0, ByzantineMode::Forge);
         let cfg = WorkloadConfig::mixed(4, 2, 12, 23);
         let stats = kv.run_workload(&generate(&cfg), 2);
         assert_eq!(stats.ops, 12);
+        kv.check_atomicity().unwrap();
         kv.shutdown();
     }
 }

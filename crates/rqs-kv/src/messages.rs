@@ -133,22 +133,11 @@ impl BatchAccumulator {
     /// Sends every buffered item as one batch per destination, emptying
     /// the buffers but keeping the per-destination map nodes for reuse.
     pub fn flush(&mut self, ctx: &mut Context<KvBatch>) {
-        for (to, batch) in self.drain() {
-            ctx.send(to, batch);
+        for (to, items) in &mut self.pending {
+            if !items.is_empty() {
+                ctx.send(*to, KvBatch(std::mem::take(items)));
+            }
         }
-    }
-
-    /// Drains every buffered item as one `(destination, batch)` pair —
-    /// the context-free twin of [`flush`](Self::flush) for senders
-    /// outside an automaton step, such as a server worker thread
-    /// replying through a runtime
-    /// [`NetHandle`](rqs_runtime::NetHandle). Map nodes are retained.
-    pub fn drain(&mut self) -> Vec<(NodeId, KvBatch)> {
-        self.pending
-            .iter_mut()
-            .filter(|(_, items)| !items.is_empty())
-            .map(|(to, items)| (*to, KvBatch(std::mem::take(items))))
-            .collect()
     }
 }
 
@@ -156,6 +145,10 @@ impl BatchAccumulator {
 mod tests {
     use super::*;
     use rqs_sim::Time;
+
+    fn test_ctx() -> Context<KvBatch> {
+        Context::new(NodeId(0), Time::ZERO, 0)
+    }
 
     #[test]
     fn accumulator_coalesces_per_destination() {
@@ -179,7 +172,7 @@ mod tests {
             vec![(NodeId(1), StorageMsg::WrAck { ts: 2, rnd: 1 })],
         );
         assert!(!acc.is_empty());
-        let mut ctx: Context<KvBatch> = Context::new(NodeId(0), Time::ZERO, 0);
+        let mut ctx = test_ctx();
         acc.flush(&mut ctx);
         assert!(acc.is_empty());
         // Two destinations → two envelopes; node 1 carries both its items.
@@ -200,28 +193,34 @@ mod tests {
             Lane::Writer,
             StorageMsg::WrAck { ts: 1, rnd: 1 },
         );
-        let first = acc.drain();
-        assert_eq!(first.len(), 1);
-        assert!(acc.is_empty(), "drained accumulator reads as empty");
+        let mut first = test_ctx();
+        acc.flush(&mut first);
+        assert_eq!(first.sent().len(), 1);
+        assert!(acc.is_empty(), "flushed accumulator reads as empty");
         // Refill the same destination: the retained node is reused and a
-        // second drain sends only the new item.
+        // second flush sends only the new item.
         acc.push(
             NodeId(4),
             ObjectId(2),
             Lane::Reader,
             StorageMsg::WrAck { ts: 2, rnd: 1 },
         );
-        let second = acc.drain();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].1.len(), 1);
-        assert_eq!(second[0].1 .0[0].object, ObjectId(2));
-        assert!(acc.drain().is_empty(), "empty nodes are skipped");
+        let mut second = test_ctx();
+        acc.flush(&mut second);
+        assert_eq!(second.sent().len(), 1);
+        let (to, batch) = &second.sent()[0];
+        assert_eq!(*to, NodeId(4));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.0[0].object, ObjectId(2));
+        let mut third = test_ctx();
+        acc.flush(&mut third);
+        assert!(third.sent().is_empty(), "empty nodes are skipped");
     }
 
     #[test]
     fn flush_of_empty_accumulator_sends_nothing() {
         let mut acc = BatchAccumulator::new();
-        let mut ctx: Context<KvBatch> = Context::new(NodeId(0), Time::ZERO, 0);
+        let mut ctx = test_ctx();
         acc.flush(&mut ctx);
         assert!(ctx.sent().is_empty());
     }

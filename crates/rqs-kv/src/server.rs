@@ -8,261 +8,22 @@
 //! instead of `2B`. A durable server journals the same way: the step's
 //! effective writes go into one [`DeltaGroup`], appended to the store as
 //! a single record (one sync point) before the step's replies leave.
-//!
-//! On the threaded runtime a server may additionally enable a
-//! [worker pool](KvServer::enable_worker_pool): object state is sharded
-//! across a fixed set of worker threads (`object.0 % workers`), each
-//! worker owning its shard's automata outright — no locks on the hot
-//! path — and replying through the runtime's
-//! [`NetHandle`](rqs_runtime::NetHandle). Because an object lives on
-//! exactly one worker, per-object message order (and per-object WAL
-//! append order into the shared store) is preserved; only cross-object
-//! reply interleaving changes, which atomicity is indifferent to. Each
-//! worker owns its own group and commits it once per batch it is handed,
-//! so no worker's delta rides in — or is acked ahead of — another's
-//! record.
 
 use crate::messages::{BatchAccumulator, KvBatch, KvItem};
 use crate::object::ObjectId;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
-use rqs_runtime::NetHandle;
 use rqs_sim::{Automaton, Context, NodeId};
 use rqs_storage::history::History;
 use rqs_storage::{wal, DeltaGroup, Server, StorageMsg};
 use rqs_store::StoreHandle;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::thread::JoinHandle;
 
-/// Work shipped to one shard worker of a pooled [`KvServer`].
-enum WorkerMsg {
-    /// One sender's items for this worker's objects (one step's worth).
-    Batch { from: NodeId, items: Vec<KvItem> },
-    /// Report every `(object, history)` this worker holds.
-    Gather(Sender<Vec<(u64, History)>>),
-    /// Replace this worker's object bank with the given histories.
-    Install(Vec<(u64, History)>, Sender<()>),
-    /// Barrier: ack once everything queued before this is processed.
-    Drain(Sender<()>),
-}
-
-/// The per-object server for `obj` in a bank (the node's own, or one
-/// worker's shard), created on first touch and tagged by object id.
+/// The per-object server for `obj`, created on first touch and tagged by
+/// object id.
 fn object_server(objects: &mut BTreeMap<ObjectId, Server>, obj: ObjectId) -> &mut Server {
     objects
         .entry(obj)
         .or_insert_with(|| Server::with_tag(obj.0))
-}
-
-/// One step over a bank: every item goes to its object's server, replies
-/// are buffered per destination, and the step's effective writes are
-/// appended to `store` as one record. Write-ahead: the caller releases
-/// `replies` only after this returns.
-fn handle_items(
-    objects: &mut BTreeMap<ObjectId, Server>,
-    store: Option<&StoreHandle>,
-    group: &mut DeltaGroup,
-    replies: &mut BatchAccumulator,
-    from: NodeId,
-    items: Vec<KvItem>,
-) {
-    for item in items {
-        let server = object_server(objects, item.object);
-        if let Some(reply) = server.handle(item.msg, store.map(|_| &mut *group)) {
-            replies.push(from, item.object, item.lane, reply);
-        }
-    }
-    if let Some(store) = store {
-        group.commit(store);
-    }
-}
-
-fn worker_loop(
-    rx: Receiver<WorkerMsg>,
-    me: NodeId,
-    net: NetHandle<KvBatch>,
-    store: Option<StoreHandle>,
-) {
-    let mut objects: BTreeMap<ObjectId, Server> = BTreeMap::new();
-    // One reply accumulator for the worker's lifetime: the destination
-    // map nodes survive each drain, so steady state allocates nothing
-    // per batch beyond the items themselves.
-    let mut replies = BatchAccumulator::new();
-    // Likewise one write-ahead group, committed once per batch.
-    let mut group = DeltaGroup::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Batch { from, items } => {
-                handle_items(
-                    &mut objects,
-                    store.as_ref(),
-                    &mut group,
-                    &mut replies,
-                    from,
-                    items,
-                );
-                for (to, batch) in replies.drain() {
-                    net.send(me, to, batch);
-                }
-            }
-            WorkerMsg::Gather(reply) => {
-                let all = objects
-                    .iter()
-                    .map(|(o, s)| (o.0, s.history().clone()))
-                    .collect();
-                let _ = reply.send(all);
-            }
-            WorkerMsg::Install(histories, ack) => {
-                objects.clear();
-                for (obj, h) in histories {
-                    object_server(&mut objects, ObjectId(obj)).install_history(h);
-                }
-                let _ = ack.send(());
-            }
-            WorkerMsg::Drain(ack) => {
-                let _ = ack.send(());
-            }
-        }
-    }
-}
-
-/// The shard workers of a pooled [`KvServer`]: each owns a disjoint
-/// slice of the object space (`object.0 % workers`) and replies through
-/// the runtime's [`NetHandle`]. Dropping the pool closes every inbox and
-/// joins the threads, which releases the pool's network references so
-/// the runtime can shut its interposer down.
-pub(crate) struct WorkerPool {
-    inboxes: Vec<Sender<WorkerMsg>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(
-        workers: usize,
-        me: NodeId,
-        net: NetHandle<KvBatch>,
-        store: Option<StoreHandle>,
-    ) -> Self {
-        assert!(workers >= 1, "a worker pool needs at least one worker");
-        let mut inboxes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = unbounded();
-            let net = net.clone();
-            let store = store.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("kv-worker-{}-{w}", me.0))
-                .spawn(move || worker_loop(rx, me, net, store))
-                .expect("spawn kv shard worker");
-            inboxes.push(tx);
-            handles.push(handle);
-        }
-        WorkerPool { inboxes, handles }
-    }
-
-    fn len(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    fn shard_of(&self, obj: ObjectId) -> usize {
-        (obj.0 % self.inboxes.len() as u64) as usize
-    }
-
-    /// Routes one step's items to their shard workers (per-worker FIFO
-    /// inboxes keep per-object order).
-    fn dispatch(&self, from: NodeId, items: Vec<KvItem>) {
-        let mut shards: Vec<Vec<KvItem>> = vec![Vec::new(); self.inboxes.len()];
-        for item in items {
-            shards[self.shard_of(item.object)].push(item);
-        }
-        for (w, items) in shards.into_iter().enumerate() {
-            if !items.is_empty() {
-                self.inboxes[w]
-                    .send(WorkerMsg::Batch { from, items })
-                    .unwrap_or_else(|_| panic!("shard worker alive"));
-            }
-        }
-    }
-
-    /// Collects every worker's `(object, history)` pairs, sorted by
-    /// object id (the order the unpooled bank iterates in).
-    fn gather(&self) -> Vec<(u64, History)> {
-        let replies: Vec<Receiver<Vec<(u64, History)>>> = self
-            .inboxes
-            .iter()
-            .map(|tx| {
-                let (rtx, rrx) = bounded(1);
-                tx.send(WorkerMsg::Gather(rtx))
-                    .unwrap_or_else(|_| panic!("shard worker alive"));
-                rrx
-            })
-            .collect();
-        let mut all: Vec<(u64, History)> = replies
-            .into_iter()
-            .flat_map(|rx| rx.recv().expect("shard worker alive"))
-            .collect();
-        all.sort_by_key(|(o, _)| *o);
-        all
-    }
-
-    /// Replaces every worker's shard with its slice of `histories`,
-    /// waiting until all workers acknowledge the swap.
-    fn install(&self, histories: Vec<(u64, History)>) {
-        let mut shards: Vec<Vec<(u64, History)>> = vec![Vec::new(); self.inboxes.len()];
-        for (obj, h) in histories {
-            shards[(obj % self.inboxes.len() as u64) as usize].push((obj, h));
-        }
-        let acks: Vec<Receiver<()>> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                let (atx, arx) = bounded(1);
-                self.inboxes[w]
-                    .send(WorkerMsg::Install(shard, atx))
-                    .unwrap_or_else(|_| panic!("shard worker alive"));
-                arx
-            })
-            .collect();
-        for a in acks {
-            a.recv().expect("shard worker alive");
-        }
-    }
-
-    /// Blocks until every worker has processed everything queued so far
-    /// (per-worker FIFO makes the drain a true barrier).
-    fn barrier(&self) {
-        let acks: Vec<Receiver<()>> = self
-            .inboxes
-            .iter()
-            .map(|tx| {
-                let (atx, arx) = bounded(1);
-                tx.send(WorkerMsg::Drain(atx))
-                    .unwrap_or_else(|_| panic!("shard worker alive"));
-                arx
-            })
-            .collect();
-        for a in acks {
-            a.recv().expect("shard worker alive");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the inboxes ends each worker loop; join so the workers'
-        // NetHandle clones are gone before the runtime tears its network
-        // down.
-        self.inboxes.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl core::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "WorkerPool({} workers)", self.inboxes.len())
-    }
 }
 
 /// A benign multi-object storage server.
@@ -272,36 +33,16 @@ impl core::fmt::Debug for WorkerPool {
 /// record, and `save_state`/`restore_state` snapshot and rebuild the
 /// whole bank at once — a single durable store per node, like a single
 /// disk.
-///
-/// With a [worker pool](Self::enable_worker_pool) enabled (threaded
-/// runtime only), the object bank lives on the pool's shard threads
-/// instead of `objects`, and `on_message` becomes a cheap routing step.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct KvServer {
     objects: BTreeMap<ObjectId, Server>,
     store: Option<StoreHandle>,
-    pool: Option<WorkerPool>,
     /// Reply accumulator reused across steps (empty between steps; its
     /// retained map nodes are a cache, not state).
     replies: BatchAccumulator,
-    /// Write-ahead group of the unpooled path, reused across steps
-    /// (likewise empty between steps).
+    /// Write-ahead group, reused across steps (likewise empty between
+    /// steps).
     group: DeltaGroup,
-}
-
-impl Clone for KvServer {
-    fn clone(&self) -> Self {
-        // A worker pool is a per-instance thread resource; clones start
-        // unpooled. (Nothing in the tree clones a live pooled server —
-        // the bound exists for constructor-style call sites only.)
-        KvServer {
-            objects: self.objects.clone(),
-            store: self.store.clone(),
-            pool: None,
-            replies: BatchAccumulator::new(),
-            group: DeltaGroup::new(),
-        }
-    }
 }
 
 impl KvServer {
@@ -318,53 +59,13 @@ impl KvServer {
         }
     }
 
-    /// Shards this server's object state across `workers` dedicated
-    /// threads replying through `net` as node `me`. Existing object state
-    /// migrates to the shards; incoming batches are thereafter routed by
-    /// `object.0 % workers`. Threaded-runtime only (the deterministic
-    /// simulator has no [`NetHandle`]s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool is already enabled or `workers` is zero.
-    pub fn enable_worker_pool(&mut self, workers: usize, me: NodeId, net: NetHandle<KvBatch>) {
-        assert!(self.pool.is_none(), "worker pool already enabled");
-        let pool = WorkerPool::spawn(workers, me, net, self.store.clone());
-        if !self.objects.is_empty() {
-            let existing = self
-                .objects
-                .iter()
-                .map(|(o, s)| (o.0, s.history().clone()))
-                .collect();
-            pool.install(existing);
-            self.objects.clear();
-        }
-        self.pool = Some(pool);
-    }
-
-    /// Number of shard workers (0 when unpooled).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::len)
-    }
-
     /// Number of objects this server has state for.
     pub fn object_count(&self) -> usize {
-        match &self.pool {
-            Some(pool) => pool.gather().len(),
-            None => self.objects.len(),
-        }
+        self.objects.len()
     }
 
     /// The history stored for `obj` (empty if never touched).
     pub fn history(&self, obj: ObjectId) -> History {
-        if let Some(pool) = &self.pool {
-            return pool
-                .gather()
-                .into_iter()
-                .find(|(o, _)| *o == obj.0)
-                .map(|(_, h)| h)
-                .unwrap_or_default();
-        }
         self.objects
             .get(&obj)
             .map(|s| s.history().clone())
@@ -374,13 +75,6 @@ impl KvServer {
 
 impl Automaton<KvBatch> for KvServer {
     fn state_digest(&self) -> u64 {
-        if self.pool.is_some() {
-            // The shards own the object state; fold a marker only. Pools
-            // exist only on the threaded substrate, which never compares
-            // digests across runs (that is the simulator's determinism
-            // check).
-            return rqs_sim::fnv1a(b"kv-server-pooled");
-        }
         let mut acc = rqs_sim::fnv1a(b"kv-server");
         for (obj, server) in &self.objects {
             acc = rqs_sim::fnv1a_fold(acc, obj.0);
@@ -389,27 +83,21 @@ impl Automaton<KvBatch> for KvServer {
         acc
     }
 
+    /// One step: every item goes to its object's server, the step's
+    /// effective writes are appended to the store as one record, and only
+    /// then (write-ahead) do the replies leave — one batch per
+    /// destination.
     fn on_message(&mut self, from: NodeId, batch: KvBatch, ctx: &mut Context<KvBatch>) {
-        // Pooled: route each item to its object's shard worker and
-        // return — replies leave through the pool's NetHandle instead of
-        // this step's context, so the node thread is back to its inbox
-        // in O(batch) routing time.
-        if let Some(pool) = &self.pool {
-            pool.dispatch(from, batch.0);
-            return;
+        let durable = self.store.is_some();
+        for item in batch.0 {
+            let server = object_server(&mut self.objects, item.object);
+            if let Some(reply) = server.handle(item.msg, durable.then_some(&mut self.group)) {
+                self.replies.push(from, item.object, item.lane, reply);
+            }
         }
-        // Per-destination reply buffer: everything this step produces for
-        // one destination leaves as a single batch, after the step's one
-        // log record. The buffers are fields so their allocations persist
-        // across steps.
-        handle_items(
-            &mut self.objects,
-            self.store.as_ref(),
-            &mut self.group,
-            &mut self.replies,
-            from,
-            batch.0,
-        );
+        if let Some(store) = &self.store {
+            self.group.commit(store);
+        }
         self.replies.flush(ctx);
     }
 
@@ -419,43 +107,17 @@ impl Automaton<KvBatch> for KvServer {
         // single-object snapshot into the shared store, clobbering the
         // others.
         let Some(store) = &self.store else { return };
-        if let Some(pool) = &self.pool {
-            // Barrier first so every WAL append of already-routed batches
-            // precedes the snapshot, then gather the shards' banks.
-            pool.barrier();
-            let gathered = pool.gather();
-            let blob = wal::encode_histories(gathered.iter().map(|(obj, h)| (*obj, h)));
-            store.install_snapshot(&blob);
-            return;
-        }
         let blob = wal::encode_histories(self.objects.iter().map(|(obj, s)| (obj.0, s.history())));
         store.install_snapshot(&blob);
     }
 
     fn restore_state(&mut self) -> usize {
         self.objects.clear();
-        let Some(store) = self.store.clone() else {
-            if let Some(pool) = &self.pool {
-                pool.install(Vec::new());
-            }
-            return 0;
-        };
+        let Some(store) = &self.store else { return 0 };
         // Crash the store once, load it once, and demultiplex the shared
         // log in a single pass — rescanning it per object would make
         // recovery O(objects × log), long enough under thousands of
         // objects to stall the node past its clients' op timeouts.
-        if let Some(pool) = &self.pool {
-            // Quiesce the shards before crashing the store: a worker
-            // appending after the crash point would corrupt the reload.
-            // Batches routed after this restore queue behind the Install
-            // in each worker's FIFO inbox, so they see recovered state.
-            pool.barrier();
-            store.crash();
-            let rec = store.load();
-            let (histories, replayed) = wal::restore_histories(&rec);
-            pool.install(histories);
-            return replayed;
-        }
         store.crash();
         let rec = store.load();
         let (histories, replayed) = wal::restore_histories(&rec);

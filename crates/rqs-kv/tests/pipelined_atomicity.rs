@@ -95,12 +95,12 @@ proptest! {
 }
 
 proptest! {
-    // The threaded runtime spins up real node/worker threads per case;
+    // The threaded runtime spins up real node threads per case;
     // keep the case count low and the workloads small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The same property on the threaded substrate: pipelined depths with
-    /// a sharded worker pool and one forging Byzantine server.
+    /// one forging Byzantine server.
     #[test]
     fn threaded_pipelined_byzantine_stays_atomic(
         seed in 0u64..10_000,
@@ -110,7 +110,6 @@ proptest! {
         let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
         let mut kv = RtKv::with_tick(rqs, 8, 2, Duration::from_micros(50));
         kv.make_byzantine(byz_idx, ByzantineMode::Forge);
-        kv.enable_worker_pool(2);
         kv.set_pipeline(depth);
         kv.set_retry_policy(RetryPolicy {
             max_retries: 8,

@@ -1,6 +1,6 @@
 //! Threaded deployment of the RQS consensus: a thin wall-clock wrapper
 //! around the substrate-generic
-//! [`ConsensusDeployment`](rqs_consensus::ConsensusDeployment),
+//! [`ConsensusDeployment`],
 //! instantiated on [`Runtime`].
 
 use crate::runtime::{Runtime, DEFAULT_TICK};

@@ -40,6 +40,6 @@ pub mod sidecar;
 pub mod storage;
 
 pub use consensus::RtConsensus;
-pub use runtime::{NetHandle, Runtime, RuntimeBuilder, DEFAULT_TICK};
+pub use runtime::{Runtime, RuntimeBuilder, DEFAULT_TICK};
 pub use sidecar::{CheckerSidecar, SidecarReport};
 pub use storage::RtStorage;

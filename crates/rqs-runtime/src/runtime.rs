@@ -143,40 +143,6 @@ impl<M> NetOut<M> {
     }
 }
 
-/// A cloneable handle auxiliary threads use to send messages into the
-/// runtime's network — e.g. a server-side worker pool replying on
-/// behalf of its node. Sends are counted and scenario-interposed
-/// exactly like automaton sends.
-///
-/// Handles keep the network path alive: drop them (worker pools join
-/// in their owner's `Drop`, which runs when the node thread exits) so
-/// [`Runtime::shutdown`] can close the interposer.
-pub struct NetHandle<M: Send + 'static> {
-    net: Arc<NetOut<M>>,
-}
-
-impl<M: Send + 'static> Clone for NetHandle<M> {
-    fn clone(&self) -> Self {
-        NetHandle {
-            net: self.net.clone(),
-        }
-    }
-}
-
-impl<M: Send + 'static> core::fmt::Debug for NetHandle<M> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("NetHandle")
-    }
-}
-
-impl<M: Send + 'static> NetHandle<M> {
-    /// Injects `msg` into `to`'s inbox attributed to `from`, subject to
-    /// the scenario's link schedule.
-    pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.net.send(from, to, msg);
-    }
-}
-
 /// A message travelling through the interposer.
 struct Outbound<M> {
     from: NodeId,
@@ -744,18 +710,6 @@ impl<M: Send + Clone + 'static> Runtime<M> {
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
         if let Some(net) = &self.net {
             net.send(from, to, msg);
-        }
-    }
-
-    /// A handle for injecting messages from auxiliary threads (worker
-    /// pools, external drivers).
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`Runtime::shutdown`].
-    pub fn net_handle(&self) -> NetHandle<M> {
-        NetHandle {
-            net: self.net.clone().expect("runtime is shut down"),
         }
     }
 

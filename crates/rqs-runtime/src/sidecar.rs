@@ -1,9 +1,9 @@
 //! Checker sidecar: streaming atomicity validation off the driver thread.
 //!
 //! [`CheckerSidecar`] owns a thread running one
-//! [`AtomicityChecker`](rqs_storage::AtomicityChecker) per object.
+//! [`AtomicityChecker`] per object.
 //! Drivers on the threaded runtime hand each harvested
-//! [`OpRecord`](rqs_storage::OpRecord) to [`CheckerSidecar::observe`]
+//! [`OpRecord`] to [`CheckerSidecar::observe`]
 //! (a channel send) and keep going; the sidecar validates concurrently
 //! and retires provably-ordered prefixes whenever the driver signals a
 //! quiescent point ([`CheckerSidecar::retire_settled`]), so soak-length
@@ -14,9 +14,8 @@
 //! # Arrival order
 //!
 //! The sidecar assumes **nothing** about the order records arrive in.
-//! With a sharded `KvServer` worker pool and pipelined clients, the
-//! driver harvests completions lane by lane while workers finish
-//! server-side processing in shard order — so records reach
+//! The driver harvests a wave's completions client by client, each
+//! client's across all its pipelined lanes — so records reach
 //! [`CheckerSidecar::observe`] interleaved across objects and, within
 //! one object, not necessarily in completion order. That is fine:
 //! verdicts derive from each record's own `invoked_at`/`completed_at`
@@ -166,12 +165,12 @@ mod tests {
         ]
     }
 
-    /// The sharded worker pool hands completions to the harvest loop in
-    /// shard order, not completion order, so the sidecar sees each
-    /// wave's records permuted and interleaved across objects. Feeding
-    /// every wave reversed (reads before the writes they read from,
-    /// objects interleaved) must reach the same clean verdict as the
-    /// in-order feed of `clean_history_passes_with_retirement`.
+    /// The harvest loop walks clients, not completion order, so the
+    /// sidecar sees each wave's records permuted and interleaved across
+    /// objects. Feeding every wave reversed (reads before the writes
+    /// they read from, objects interleaved) must reach the same clean
+    /// verdict as the in-order feed of
+    /// `clean_history_passes_with_retirement`.
     #[test]
     fn reordered_feed_reaches_the_in_order_verdict() {
         let sidecar = CheckerSidecar::spawn();

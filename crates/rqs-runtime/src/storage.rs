@@ -1,6 +1,6 @@
 //! Threaded deployment of the RQS atomic storage: a thin wall-clock
 //! wrapper around the substrate-generic
-//! [`StorageDeployment`](rqs_storage::StorageDeployment), instantiated on
+//! [`StorageDeployment`], instantiated on
 //! [`Runtime`]. Same automatons and driver code as the simulator harness,
 //! real wall-clock latency.
 

@@ -9,7 +9,7 @@
 //! substitution — so the storage, consensus and KV deployment drivers can
 //! be written once, generically, and run unchanged on either executor:
 //!
-//! - [`World`](crate::World) implements it with deterministic discrete
+//! - [`World`] implements it with deterministic discrete
 //!   events ([`Substrate::await_on`] is `run_until` with a step budget);
 //! - `rqs_runtime::Runtime` implements it with node-per-thread execution
 //!   (`await_on` is the blocking `wait_for` poll with a wall-clock
@@ -184,7 +184,7 @@ pub trait Substrate<M: Clone + Send + 'static>: Sized {
     /// behaves like [`Substrate::crash`]; `Amnesia` makes the eventual
     /// [`Substrate::restart`] discard all volatile state and rebuild the
     /// node from its durable store (via
-    /// [`Automaton::restore_state`](crate::Automaton::restore_state)).
+    /// [`Automaton::restore_state`]).
     fn crash_with(&mut self, id: NodeId, mode: CrashMode);
 
     /// Restarts a crashed node: with its retained state after a

@@ -1,11 +1,11 @@
 //! Baseline: the classic crash-tolerant SWMR atomic storage of
-//! Attiya–Bar-Noy–Dolev (ABD, the paper's reference [4]).
+//! Attiya–Bar-Noy–Dolev (ABD, the paper's reference \[4\]).
 //!
 //! Writes take one round (write to a majority); reads take two rounds
 //! (collect from a majority, then write the highest pair back to a
 //! majority). This is the optimally-resilient baseline whose read latency
 //! the RQS algorithm improves on in best-case conditions: the paper's
-//! lower bound [11] shows optimally-resilient ABD-style reads *cannot*
+//! lower bound \[11\] shows optimally-resilient ABD-style reads *cannot*
 //! always be one round, which is exactly the gap refined quorums close.
 
 use crate::value::{Timestamp, TsVal, Value};

@@ -4,7 +4,7 @@
 //! checking and latency reporting.
 //!
 //! [`StorageDeployment`] is written once against
-//! [`Substrate`](rqs_sim::Substrate) and therefore runs unchanged on the
+//! [`Substrate`] and therefore runs unchanged on the
 //! deterministic simulator ([`StorageHarness`] is the
 //! `StorageDeployment<World<StorageMsg>>` alias, with extra sim-only
 //! scripting methods) and on the threaded runtime

@@ -1,6 +1,6 @@
 //! Regular (non-atomic) storage — the paper's §6 extension.
 //!
-//! The concluding remarks observe that for *regular* semantics [33]
+//! The concluding remarks observe that for *regular* semantics \[33\]
 //! (a read returns the last completed write's value or any concurrent
 //! write's value, but read inversion is allowed), Properties 1 and 3a
 //! suffice and the write-back part of the reader is unnecessary:

@@ -83,10 +83,9 @@ impl StorageDelta {
 /// handled, encoded as it is pushed into one buffer that is reused
 /// across steps.
 ///
-/// A group is a value owned by whoever runs the step (a server, or one
-/// shard worker of a pooled server) — never a mode of the shared
-/// [`StoreHandle`] — so two threads appending through one handle cannot
-/// ride in each other's uncommitted record. The owner must
+/// A group is a value owned by the server running the step — never a
+/// mode of the shared [`StoreHandle`] — so two holders of one handle
+/// cannot ride in each other's uncommitted record. The owner must
 /// [`commit`](Self::commit) it before releasing any reply of the step.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaGroup {
