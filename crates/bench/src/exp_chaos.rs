@@ -190,9 +190,7 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
     }
     kv.retain_outcomes(false);
     kv.enable_checker_sidecar();
-    if params.pipeline > 1 {
-        kv.set_pipeline(params.pipeline);
-    }
+    kv.set_pipeline(params.pipeline);
     // Generous retry budget, but with backoff calibrated above the p99
     // of the fsync-dominated op latency of the file-backed stores
     // (~2000 ticks): a base below real latency turns the watchdogs into

@@ -26,8 +26,8 @@ pub struct KvParams {
     /// Total operations.
     pub ops: usize,
     /// Per-lane client pipeline depth (≥ 1). The recorded experiment
-    /// keeps depth 1 so the sim rows stay comparable with the
-    /// pre-pipelining trajectory; override with `--pipeline`.
+    /// keeps depth 1 (waves of `batch` ops, one per lane), so its rows
+    /// isolate batching; override with `--pipeline`.
     pub pipeline: usize,
 }
 
@@ -90,9 +90,7 @@ pub fn run_batching(
                 .build()
                 .expect("valid rqs");
             let mut sim = KvSim::new(rqs, params.objects, params.clients);
-            if params.pipeline > 1 {
-                sim.set_pipeline(params.pipeline);
-            }
+            sim.set_pipeline(params.pipeline);
             let stats = sim.run_workload(&ops, batch);
             sim.check_atomicity().expect("per-object atomicity");
             (batch, stats)
@@ -131,9 +129,7 @@ pub fn run_sim_traced(
     if byzantine {
         sim.make_byzantine(0, ByzantineMode::Forge);
     }
-    if params.pipeline > 1 {
-        sim.set_pipeline(params.pipeline);
-    }
+    sim.set_pipeline(params.pipeline);
     let cfg = params.workload_config(seed);
     let stats = sim.run_workload(&workload::generate(&cfg), batch);
     sim.check_atomicity().expect("per-object atomicity");
@@ -151,9 +147,7 @@ pub fn run_threaded(seed: u64, params: KvParams, batch: usize) -> KvRunStats {
         params.clients,
         Duration::from_millis(1),
     );
-    if params.pipeline > 1 {
-        kv.set_pipeline(params.pipeline);
-    }
+    kv.set_pipeline(params.pipeline);
     let cfg = params.workload_config(seed);
     let stats = kv.run_workload(&workload::generate(&cfg), batch);
     kv.shutdown();

@@ -125,9 +125,7 @@ pub fn run_cell(seed: u64, params: PipelineParams, depth: usize) -> PipelineCell
     );
     kv.retain_outcomes(false);
     kv.enable_checker_sidecar();
-    if depth > 1 {
-        kv.set_pipeline(depth);
-    }
+    kv.set_pipeline(depth);
     // Fault-free links: calibrate the watchdog above scheduler jitter
     // so the sweep measures pipelining, not nudge storms (see
     // the calibration note in `exp_soak`).

@@ -124,9 +124,7 @@ pub fn run_soak_traced(seed: u64, params: SoakParams, tracer: ObsHandle) -> Soak
     );
     kv.retain_outcomes(false);
     kv.enable_checker_sidecar();
-    if params.pipeline > 1 {
-        kv.set_pipeline(params.pipeline);
-    }
+    kv.set_pipeline(params.pipeline);
     // Nothing is lost on the soak's fault-free links, so a nudge can
     // only ever be congestion misread as loss. The default watchdog is
     // calibrated for simulator ticks; on the threaded runtime,

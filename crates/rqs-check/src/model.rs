@@ -15,6 +15,7 @@ use rqs_consensus::types::ConsensusMsg;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_core::Rqs;
 use rqs_sim::{fnv1a, Time};
+use rqs_storage::byzantine::ForgedServer;
 use rqs_storage::reader::Reader;
 use rqs_storage::writer::Writer;
 use rqs_storage::{check_atomicity_reference, CheckerStats, StorageHarness, StorageMsg, Value};
@@ -207,6 +208,25 @@ impl StorageModel {
             ],
             durable: false,
             setup: None,
+        }
+    }
+
+    /// `write(1)` then `read()` over `byzantine_fast(1)` with server 2 a
+    /// [`ForgedServer`] that acks every write and shows readers the
+    /// initial history: the smallest model in which a write that took a
+    /// class-2 quorum's acks for a class-1 quorum's is lost (the
+    /// forger's ack was one of them, and two quorums of three need
+    /// share only the forger and one honest server).
+    pub fn write_then_read_with_forger() -> Self {
+        StorageModel {
+            system: StorageSystem::ByzantineFast { t: 1 },
+            readers: 1,
+            chains: vec![vec![StorageOp::Write(1), StorageOp::Read(0)]],
+            invariants: vec![StorageInvariant::Atomicity],
+            durable: false,
+            setup: Some(Rc::new(|h| {
+                h.make_byzantine(2, Box::new(ForgedServer::initial_state()));
+            })),
         }
     }
 
@@ -655,6 +675,7 @@ pub fn builtin_model(name: &str) -> Option<Box<dyn Model>> {
         "storage-crash5-seq" => Some(Box::new(StorageModel::sequential_fast_path(
             StorageSystem::CrashFast { n: 5, q: 1 },
         ))),
+        "storage-byz4-wr-forger" => Some(Box::new(StorageModel::write_then_read_with_forger())),
         "consensus-byz4-contention" => Some(Box::new(ConsensusModel::contention(1))),
         "consensus-byz4-fast" => Some(Box::new(ConsensusModel::fast_path(1))),
         _ => None,
@@ -706,6 +727,7 @@ mod tests {
             "storage-crash4-w2r-durable",
             "storage-crash5-w2r",
             "storage-crash5-seq",
+            "storage-byz4-wr-forger",
             "consensus-byz4-contention",
             "consensus-byz4-fast",
         ] {

@@ -10,6 +10,7 @@ use rqs_consensus::learner::Learner;
 use rqs_consensus::types::ConsensusMsg;
 use rqs_storage::reader::Reader;
 use rqs_storage::server::Server;
+use rqs_storage::writer::Writer;
 use std::rc::Rc;
 
 /// Reader 1 always returns `⟨0,⊥⟩` — a stale-read bug. The canonical
@@ -191,6 +192,82 @@ fn no_wal_mutant_is_found_by_amnesia_branching() {
 fn wal_servers_survive_amnesia_branching_under_same_budget() {
     let model = StorageModel::write_read_read(StorageSystem::CrashFast { n: 4, q: 1 }).durable();
     let outcome = dfs(&model, &amnesia_bounds(), true);
+    assert!(outcome.stats.exhausted);
+    assert!(
+        outcome.violations.is_empty(),
+        "{:?}",
+        outcome.violations.first().map(|v| &v.message)
+    );
+}
+
+fn settle_on_class2_model() -> StorageModel {
+    let mut model = StorageModel::write_then_read_with_forger();
+    let forger = model.setup.take().expect("the model plants its forger");
+    model.setup = Some(Rc::new(move |h| {
+        forger(h);
+        let rqs = h.rqs().clone();
+        let servers = h.servers().to_vec();
+        let id = h.writer_id();
+        h.world_mut().replace_node(
+            id,
+            Box::new(Writer::new_mutant_settle_on_class2(rqs, servers)),
+        );
+    }));
+    model
+}
+
+fn settle_on_class2_bounds() -> Bounds {
+    Bounds::delivery(10, 1).with_drops(2)
+}
+
+/// The writer takes round 1's early exit on a *class-2* quorum. The
+/// round-completion rule is what makes this reachable — the exit is the
+/// success branch of a test on the ack set, so the test had better be the
+/// class-1 one. Schedule-dependent: the write must miss one honest
+/// server and collect the forger's ack among its three, and the read
+/// must then hear the forger, the server the write missed and only one
+/// holder before its timer — the holder alone is no basic subset, so
+/// the completed write reads as a forgery and `⟨0,⊥⟩` is returned.
+#[test]
+fn settle_on_class2_mutant_is_found_and_shrunk() {
+    let model = settle_on_class2_model();
+    let outcome = dfs(&model, &settle_on_class2_bounds(), true);
+    assert_eq!(
+        outcome.violations.len(),
+        1,
+        "explorer must find the lost write within the budget ({} runs)",
+        outcome.stats.runs
+    );
+    let v = &outcome.violations[0];
+    assert!(v.message.contains("atomicity"), "{}", v.message);
+    assert!(v.message.contains("stale"), "{}", v.message);
+    assert!(
+        outcome.stats.runs <= 500,
+        "budget: {} runs",
+        outcome.stats.runs
+    );
+    let (_, out) = replay(&model, &v.shrunk, 500);
+    assert!(out.violation.is_some(), "shrunk script must still fail");
+    // The committed counterexample is this schedule (9 choices, two of
+    // them drops: one lost wr, one lost rd): it convicts the mutant and
+    // (tests/regressions.rs) passes on the real writer.
+    let text = include_str!("../../../tests/regressions/settle-on-class2-lost-write.cex");
+    let cex = rqs_check::Counterexample::parse(text).expect("well-formed corpus entry");
+    assert_eq!(
+        cex.choices, v.shrunk,
+        "corpus entry drifted from the shrunk script"
+    );
+}
+
+/// The real writer under the same forger and the same bounds: two
+/// rounds tell the servers which class-2 quorum holds the value, and the
+/// reader's `valid2`/`valid3` cases recover it. Exhausts clean — and
+/// since no mode switch hides it any more, this exploration runs the
+/// round-completion rule itself.
+#[test]
+fn real_writer_survives_the_forger_under_same_budget() {
+    let model = StorageModel::write_then_read_with_forger();
+    let outcome = dfs(&model, &settle_on_class2_bounds(), true);
     assert!(outcome.stats.exhausted);
     assert!(
         outcome.violations.is_empty(),

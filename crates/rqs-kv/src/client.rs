@@ -13,6 +13,14 @@
 //!   far fewer than `B×` envelopes);
 //! - inner timers are re-armed on the outer context and a token map
 //!   routes expirations back to the automaton that armed them;
+//! - the round timer every op is launched with comes from observed round
+//!   trips: the client keeps one windowed-maximum estimate over the ticks
+//!   between a round's broadcast and each of its acks (`RttEstimate`)
+//!   and hands the inner automaton `max(CLIENT_TIMEOUT, est + est/2 + 1)`.
+//!   The timer is the paper's synchrony *assumption*, so a wrong guess
+//!   may cost a round, never safety or liveness; the estimate is a pure
+//!   function of delivered messages, so simulator runs stay
+//!   deterministic, and it is not settable;
 //! - completed inner operations are harvested into a flat outcome log
 //!   with object tags, rounds and invocation/response times;
 //! - every in-flight operation carries a retry watchdog: if it has not
@@ -35,8 +43,8 @@
 //!   successor is invoked, so per-object program order equals real-time
 //!   order and the atomicity-checker contract is untouched. Queue wait
 //!   is recorded per op ([`KvOutcome::queued_ticks`], traced as
-//!   `queue_wait`, attributed as `scheduling`); depth 1 is byte-identical
-//!   to the unpipelined client.
+//!   `queue_wait`, attributed as `scheduling`). The depth is only that
+//!   bound: rounds end and are timed by one rule at every depth.
 
 use crate::messages::{BatchAccumulator, KvBatch, KvItem, Lane};
 use crate::object::ObjectId;
@@ -213,6 +221,83 @@ struct LaneRetry {
 /// A backlogged op awaiting launch: `(seq, admitted_at, op)`.
 type Backlogged = (u64, Time, KvOp);
 
+/// Samples per half of the estimate's window: a sample stops counting
+/// after at most `2 · RTT_WINDOW` newer ones. Sized for the regime
+/// where timers race the OS scheduler (50 µs ticks, E18): the chance
+/// that the next ack is slower than everything in the window is about
+/// one in the window's length, and at 64 the soak lost 1–2 points of
+/// fast-path ratio to spurious second rounds that 256 does not lose.
+const RTT_WINDOW: u32 = 256;
+
+/// Rounds remembered per lane for matching acks to their broadcast: an
+/// op has at most a handful, and a straggler's ack may land a round or
+/// an op late.
+const STAMPS_PER_LANE: usize = 4;
+
+/// The client-wide round-trip estimate, in ticks: the maximum over a
+/// sliding window of samples, kept as two half-window maxima so one
+/// scheduling spike is forgotten instead of ratcheting the timer up for
+/// good. A sample is the time from a round's broadcast to one ack of
+/// that round — a duration on the client's own clock, like a timer, never
+/// an absolute time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RttEstimate {
+    /// Maximum over the half-window being filled.
+    filling: u64,
+    /// Maximum over the last completed half-window.
+    full: u64,
+    /// Samples in the half-window being filled.
+    filled: u32,
+}
+
+impl RttEstimate {
+    fn record(&mut self, ticks: u64) {
+        self.filling = self.filling.max(ticks);
+        self.filled += 1;
+        if self.filled == RTT_WINDOW {
+            *self = RttEstimate {
+                filling: 0,
+                full: self.filling,
+                filled: 0,
+            };
+        }
+    }
+
+    /// The round timer for the next op: one and a half observed round
+    /// trips plus the same-tick tie-break the paper's `2Δ + 1` carries,
+    /// and never below that constant (which is also where it starts).
+    /// The half round trip of slack is what keeps a loaded client's
+    /// fast-path ratio at 1: the maximum of the *last* window is only an
+    /// estimate of the *next* round's slowest ack.
+    fn round_timeout(&self) -> u64 {
+        let est = self.filling.max(self.full);
+        CLIENT_TIMEOUT.max(est + est / 2 + 1)
+    }
+}
+
+/// Identity of one broadcast round on a lane, shared by the request and
+/// its acks: `(is a read round, ts or read_no, rnd)`.
+type RoundKey = (bool, u64, usize);
+
+fn round_key(msg: &StorageMsg) -> RoundKey {
+    match msg {
+        StorageMsg::Wr { ts, rnd, .. } | StorageMsg::WrAck { ts, rnd } => (false, *ts, *rnd),
+        StorageMsg::Rd { read_no, rnd } | StorageMsg::RdAck { read_no, rnd, .. } => {
+            (true, *read_no, *rnd)
+        }
+    }
+}
+
+/// When a round was broadcast, and whether its acks may be sampled.
+#[derive(Debug)]
+struct RoundStamp {
+    key: RoundKey,
+    sent_at: Time,
+    /// The watchdog re-broadcast this round: an ack can no longer be
+    /// paired with one send, so it contributes no sample (Karn's rule).
+    nudged: bool,
+}
+
 fn lane_bit(lane: Lane) -> u64 {
     match lane {
         Lane::Writer => 0,
@@ -273,6 +358,10 @@ pub struct KvClient {
     lane_done: BTreeMap<(ObjectId, Lane), u64>,
     /// Next admission sequence number.
     next_seq: u64,
+    /// Observed round trips; every launch takes its round timer from it.
+    rtt: RttEstimate,
+    /// The last few rounds each lane broadcast, newest at the back.
+    round_stamps: BTreeMap<(ObjectId, Lane), VecDeque<RoundStamp>>,
 }
 
 impl KvClient {
@@ -308,6 +397,8 @@ impl KvClient {
             lane_meta: BTreeMap::new(),
             lane_done: BTreeMap::new(),
             next_seq: 0,
+            rtt: RttEstimate::default(),
+            round_stamps: BTreeMap::new(),
         }
     }
 
@@ -361,31 +452,12 @@ impl KvClient {
     /// `(object, lane)` stream. Depth 1 (the default) is the classic
     /// one-op-per-lane client.
     ///
-    /// A depth above 1 also switches the per-object writer/reader
-    /// automata to *eager round completion* (settle a timed round the
-    /// moment every server has acked it — information-equivalent to
-    /// waiting out the `2Δ` timer, see
-    /// [`Writer::set_eager_completion`]): a pipelined lane must turn
-    /// ops around at network speed, not timer speed, or its own backlog
-    /// queues the replies past the timeout. Depth 1 keeps the classic
-    /// timer-paced schedule, byte-identical to the unpipelined client.
-    ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
     pub fn set_pipeline(&mut self, depth: usize) {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         self.pipeline = depth;
-        let eager = depth > 1;
-        let timeout = CLIENT_TIMEOUT.saturating_mul(depth as u64);
-        for w in self.writers.values_mut() {
-            w.set_eager_completion(eager);
-            w.set_round_timeout(timeout);
-        }
-        for r in self.readers.values_mut() {
-            r.set_eager_completion(eager);
-            r.set_round_timeout(timeout);
-        }
     }
 
     /// The pipeline depth in force.
@@ -504,15 +576,12 @@ impl KvClient {
         match op {
             KvOp::Write { object, value } => {
                 let (rqs, servers, obs) = (&self.rqs, &self.servers, &self.obs);
-                let eager = self.pipeline > 1;
-                let timeout = CLIENT_TIMEOUT.saturating_mul(self.pipeline as u64);
                 let writer = self.writers.entry(object).or_insert_with(|| {
                     let mut w = Writer::new(rqs.clone(), servers.clone());
                     w.set_obs(obs.with_tag(object.0));
-                    w.set_eager_completion(eager);
-                    w.set_round_timeout(timeout);
                     w
                 });
+                writer.set_round_timeout(self.rtt.round_timeout());
                 let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
                 writer.start_write(value, &mut inner);
                 self.absorb(object, Lane::Writer, inner, ctx);
@@ -520,15 +589,12 @@ impl KvClient {
             }
             KvOp::Read { object } => {
                 let (rqs, servers, obs) = (&self.rqs, &self.servers, &self.obs);
-                let eager = self.pipeline > 1;
-                let timeout = CLIENT_TIMEOUT.saturating_mul(self.pipeline as u64);
                 let reader = self.readers.entry(object).or_insert_with(|| {
                     let mut r = Reader::new(rqs.clone(), servers.clone());
                     r.set_obs(obs.with_tag(object.0));
-                    r.set_eager_completion(eager);
-                    r.set_round_timeout(timeout);
                     r
                 });
+                reader.set_round_timeout(self.rtt.round_timeout());
                 let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
                 reader.start_read(&mut inner);
                 self.absorb(object, Lane::Reader, inner, ctx);
@@ -565,6 +631,9 @@ impl KvClient {
     ) {
         self.inner_counter = inner.timer_counter_snapshot();
         let (outbox, timers, cancelled) = inner.into_outputs();
+        if let Some((_, msg)) = outbox.first() {
+            self.stamp_round(object, lane, round_key(msg), ctx.now());
+        }
         self.pending.absorb(object, lane, outbox);
         for (delay, inner_token) in timers {
             let outer = ctx.set_timer(delay);
@@ -587,6 +656,42 @@ impl KvClient {
         self.harvest(object, lane);
         self.settle_retry(object, lane, ctx);
         self.pump(object, lane, ctx);
+    }
+
+    /// Notes that `(object, lane)` broadcast round `key` now. An inner
+    /// automaton broadcasts a round once; seeing the lane's newest round
+    /// again means the watchdog nudged it.
+    fn stamp_round(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) {
+        let stamps = self.round_stamps.entry((object, lane)).or_default();
+        match stamps.back_mut() {
+            Some(newest) if newest.key == key => newest.nudged = true,
+            _ => {
+                if stamps.len() == STAMPS_PER_LANE {
+                    stamps.pop_front();
+                }
+                stamps.push_back(RoundStamp {
+                    key,
+                    sent_at: now,
+                    nudged: false,
+                });
+            }
+        }
+    }
+
+    /// Feeds the estimate with an ack's round trip, if the round it
+    /// answers is still remembered and was broadcast exactly once. Acks
+    /// count whether or not the round is still open: one that lands after
+    /// its timer fired is the sample a too-small timer needs to grow.
+    fn sample_ack(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) {
+        let Some(stamps) = self.round_stamps.get(&(object, lane)) else {
+            return;
+        };
+        if let Some(stamp) = stamps.iter().rev().find(|s| s.key == key) {
+            if !stamp.nudged {
+                self.rtt
+                    .record(now.ticks().saturating_sub(stamp.sent_at.ticks()));
+            }
+        }
     }
 
     /// `true` iff the `(object, lane)` inner automaton has no operation
@@ -771,6 +876,7 @@ impl KvClient {
     /// Routes one incoming item to the inner automaton it addresses.
     fn dispatch(&mut self, from: NodeId, item: KvItem, ctx: &mut Context<KvBatch>) {
         let KvItem { object, lane, msg } = item;
+        self.sample_ack(object, lane, round_key(&msg), ctx.now());
         match lane {
             Lane::Writer => {
                 let Some(writer) = self.writers.get_mut(&object) else {
@@ -810,6 +916,9 @@ impl Automaton<KvBatch> for KvClient {
         }
         acc = rqs_sim::fnv1a_fold(acc, self.retry_stats.retries_issued);
         acc = rqs_sim::fnv1a_fold(acc, self.next_seq);
+        for part in [self.rtt.filling, self.rtt.full, self.rtt.filled as u64] {
+            acc = rqs_sim::fnv1a_fold(acc, part);
+        }
         for ((obj, lane), q) in &self.backlog {
             acc = rqs_sim::fnv1a_fold(acc, obj.0);
             acc = rqs_sim::fnv1a_fold(acc, lane_bit(*lane));
@@ -951,6 +1060,15 @@ mod tests {
         assert_eq!(c.in_flight(), 0);
     }
 
+    /// Round-1 ack of object 0's write `ts`.
+    fn wr_ack(ts: u64) -> KvBatch {
+        KvBatch(vec![KvItem {
+            object: ObjectId(0),
+            lane: Lane::Writer,
+            msg: StorageMsg::WrAck { ts, rnd: 1 },
+        }])
+    }
+
     fn stuck_write_client(policy: RetryPolicy) -> (KvClient, Context<KvBatch>) {
         let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
         let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
@@ -1026,27 +1144,18 @@ mod tests {
     #[test]
     fn completed_op_cancels_watchdog_and_counts_once() {
         let (mut c, cx) = stuck_write_client(RetryPolicy::default());
-        let (_, round_timer) = cx.armed_timers()[0];
         let (_, watchdog) = cx.armed_timers()[1];
-        // A class-1 quorum acks, then the round timer fires: completed.
+        // A class-1 quorum acks: the round is decided and the op done.
+        let mut cancelled = Vec::new();
         for i in 0..4 {
             let mut cxa = Context::new(NodeId(5), Time(2), 100 + i as u64);
-            c.on_message(
-                NodeId(i),
-                KvBatch(vec![KvItem {
-                    object: ObjectId(0),
-                    lane: Lane::Writer,
-                    msg: StorageMsg::WrAck { ts: 1, rnd: 1 },
-                }]),
-                &mut cxa,
-            );
+            c.on_message(NodeId(i), wr_ack(1), &mut cxa);
+            cancelled.extend_from_slice(cxa.cancelled_timers());
         }
-        let mut cxt = Context::new(NodeId(5), Time(3), 500);
-        c.on_timer(round_timer, &mut cxt);
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.outcomes().len(), 1);
         assert!(
-            cxt.cancelled_timers().contains(&watchdog),
+            cancelled.contains(&watchdog),
             "completion cancels the watchdog"
         );
         // A stale watchdog expiry is inert: no resend, no double-count.
@@ -1083,54 +1192,117 @@ mod tests {
         for (_, batch) in cx.sent() {
             assert_eq!(batch.len(), 1);
         }
-        // Complete write 1: a quorum acks, then the round timer fires.
+        // Complete write 1: the 4th ack is a class-1 quorum. Write 2
+        // launches in that very step, so its round-1 broadcast rides
+        // the same flush.
+        let mut last = ctx();
         for i in 0..4 {
-            let mut cxa = Context::new(NodeId(5), Time(2), 100 + i as u64);
-            c.on_message(
-                NodeId(i),
-                KvBatch(vec![KvItem {
-                    object: ObjectId(0),
-                    lane: Lane::Writer,
-                    msg: StorageMsg::WrAck { ts: 1, rnd: 1 },
-                }]),
-                &mut cxa,
-            );
+            last = Context::new(NodeId(5), Time(2), 100 + i as u64);
+            c.on_message(NodeId(i), wr_ack(1), &mut last);
         }
-        let (_, round_timer) = cx.armed_timers()[0];
-        let mut cxt = Context::new(NodeId(5), Time(3), 500);
-        c.on_timer(round_timer, &mut cxt);
-        // Write 2 launched in the same step write 1 completed: its
-        // round-1 broadcast rides the same flush.
         assert_eq!(c.outcomes().len(), 1);
         assert_eq!(c.in_flight(), 2);
         assert_eq!(c.backlogged(), 1);
-        assert_eq!(cxt.sent().len(), 5);
+        assert_eq!(last.sent().len(), 5);
         let first = &c.outcomes()[0];
         assert_eq!(first.seq, 0);
         assert_eq!(first.queued_ticks, 0);
         // Complete write 2 (ts 2): its outcome records the queue wait
-        // (admitted at t0, launched at t3) and a larger seq.
+        // (admitted at t0, launched at t2) and a larger seq.
         for i in 0..4 {
             let mut cxa = Context::new(NodeId(5), Time(4), 600 + i as u64);
-            c.on_message(
-                NodeId(i),
-                KvBatch(vec![KvItem {
-                    object: ObjectId(0),
-                    lane: Lane::Writer,
-                    msg: StorageMsg::WrAck { ts: 2, rnd: 1 },
-                }]),
-                &mut cxa,
-            );
+            c.on_message(NodeId(i), wr_ack(2), &mut cxa);
         }
-        let (_, round_timer2) = cxt.armed_timers()[0];
-        let mut cxt2 = Context::new(NodeId(5), Time(5), 900);
-        c.on_timer(round_timer2, &mut cxt2);
         assert_eq!(c.outcomes().len(), 2);
         let second = &c.outcomes()[1];
         assert_eq!(second.seq, 1);
-        assert_eq!(second.queued_ticks, 3, "admitted t0, launched t3");
+        assert_eq!(second.queued_ticks, 2, "admitted t0, launched t2");
         assert_eq!(c.backlogged(), 0);
         assert_eq!(c.in_flight(), 1, "write 3 now active");
+    }
+
+    /// The round timer (first armed timer) of a write launched at `at`.
+    fn launch_write(c: &mut KvClient, v: u64, at: u64) -> (u64, TimerToken) {
+        let mut cx = Context::new(NodeId(5), Time(at), 10_000 * v);
+        let write = KvOp::Write {
+            object: ObjectId(0),
+            value: Value::from(v),
+        };
+        c.start_ops(vec![write], &mut cx);
+        cx.armed_timers()[0]
+    }
+
+    #[test]
+    fn round_timer_starts_at_the_papers_constant_and_never_goes_below() {
+        let mut c = client();
+        assert_eq!(launch_write(&mut c, 1, 0).0, CLIENT_TIMEOUT);
+        // Same-tick acks are zero-length round trips: the floor holds.
+        for i in 0..4 {
+            c.on_message(NodeId(i), wr_ack(1), &mut ctx());
+        }
+        assert_eq!(c.outcomes().len(), 1);
+        assert_eq!(c.rtt.filled, 4);
+        assert_eq!(launch_write(&mut c, 2, 0).0, CLIENT_TIMEOUT);
+    }
+
+    #[test]
+    fn late_acks_grow_a_timer_that_fired_too_early() {
+        // One-way delay 4: round 1 of write 1 is broadcast at t0 under
+        // the 3-tick starting timer, which fires long before any ack.
+        let mut c = client();
+        let (_, timer) = launch_write(&mut c, 1, 0);
+        c.on_timer(timer, &mut Context::new(NodeId(5), Time(3), 100));
+        // The acks land at t8. The third is a quorum, so the expired
+        // round moves on to round 2; the last two find round 1 closed
+        // and still count as samples of its round trip.
+        for i in 0..5 {
+            let mut cxa = Context::new(NodeId(5), Time(8), 200 + 10 * i as u64);
+            c.on_message(NodeId(i), wr_ack(1), &mut cxa);
+        }
+        assert_eq!(c.rtt.filled, 5);
+        assert_eq!(c.rtt.round_timeout(), 8 + 4 + 1);
+        // Finish write 1 (round 2 acks, broadcast at t8, back at t16)…
+        for i in 0..3 {
+            let ack = KvBatch(vec![KvItem {
+                object: ObjectId(0),
+                lane: Lane::Writer,
+                msg: StorageMsg::WrAck { ts: 1, rnd: 2 },
+            }]);
+            c.on_message(NodeId(i), ack, &mut Context::new(NodeId(5), Time(16), 300));
+        }
+        assert_eq!(c.outcomes()[0].rounds, 2, "the early timer cost a round");
+        // …and the next op is patient enough for the link: ≥ 2·4 + 1.
+        assert_eq!(launch_write(&mut c, 2, 16).0, 13);
+    }
+
+    #[test]
+    fn a_nudged_round_contributes_no_sample() {
+        let (mut c, cx) = stuck_write_client(RetryPolicy::default());
+        let (delay, watchdog) = cx.armed_timers()[1];
+        c.on_timer(watchdog, &mut Context::new(NodeId(5), Time(delay), 100));
+        assert_eq!(c.retry_stats().retries_issued, 1);
+        // An ack now answers either broadcast: ambiguous, so unsampled.
+        for i in 0..4 {
+            let mut cxa = Context::new(NodeId(5), Time(delay + 2), 200 + i as u64);
+            c.on_message(NodeId(i), wr_ack(1), &mut cxa);
+        }
+        assert_eq!(c.outcomes().len(), 1);
+        assert_eq!(c.rtt, RttEstimate::default());
+    }
+
+    #[test]
+    fn the_window_forgets_a_one_off_spike() {
+        let mut est = RttEstimate::default();
+        est.record(2);
+        est.record(100);
+        assert_eq!(est.round_timeout(), 100 + 50 + 1);
+        // Remembered for at least one half-window of newer samples,
+        // gone after at most two.
+        for n in 0..2 * RTT_WINDOW {
+            assert!(n >= RTT_WINDOW || est.round_timeout() == 151);
+            est.record(2);
+        }
+        assert_eq!(est.round_timeout(), 2 + 1 + 1);
     }
 
     #[test]

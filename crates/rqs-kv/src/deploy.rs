@@ -344,8 +344,8 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
 
     /// Sets the per-lane pipeline depth of every client (call before
     /// running a workload). Waves grow to `batch × depth` operations so
-    /// the extra in-flight slots are actually used; depth 1 restores the
-    /// classic one-op-per-lane waves byte for byte.
+    /// the extra in-flight slots are actually used; depth 1 is the
+    /// classic one-op-per-lane wave.
     ///
     /// # Panics
     ///
@@ -1077,6 +1077,39 @@ mod tests {
         let (_, depth1) = run(1);
         let (_, depth4) = run(4);
         assert_eq!(depth1.len(), depth4.len());
+    }
+
+    #[test]
+    fn degraded_op_latency_is_independent_of_pipeline_depth() {
+        use rqs_storage::CLIENT_TIMEOUT;
+        // Δ = 1, one of four servers down: no class-1 quorum (the full
+        // set) can ack, so a write waits out one timed round and then
+        // settles its second the moment a quorum of QC'2 acked. A read
+        // waits out its timed round too and needs at most one
+        // write-back round (none after a settled two-round write:
+        // BCD(c,1,2) holds on the surviving class-2 quorum). That is at
+        // most two rounds inside two paper timers — and the bound must
+        // not stretch with the depth.
+        for depth in [1, 4, 8] {
+            let mut sim = KvSim::new(ThresholdConfig::byzantine_fast(1).build().unwrap(), 8, 2);
+            sim.set_pipeline(depth);
+            sim.crash_server(3, CrashMode::Retain);
+            let cfg = WorkloadConfig::mixed(8, 2, 96, 17);
+            let stats = sim.run_workload(&generate(&cfg), 4);
+            assert_eq!(stats.ops, 96);
+            sim.check_atomicity().unwrap();
+            let mut slowest = 0;
+            for (_, o) in sim.completed() {
+                let ticks = o.completed_at.ticks() - o.invoked_at.ticks();
+                match o.kind {
+                    rqs_storage::OpKind::Write => assert_eq!(o.rounds, 2, "depth {depth}: {o:?}"),
+                    rqs_storage::OpKind::Read => assert!(o.rounds <= 2, "depth {depth}: {o:?}"),
+                }
+                assert!(ticks <= 2 * CLIENT_TIMEOUT, "depth {depth}: {o:?}");
+                slowest = slowest.max(ticks);
+            }
+            assert!(slowest > CLIENT_TIMEOUT, "ops did wait out a timer");
+        }
     }
 
     #[test]

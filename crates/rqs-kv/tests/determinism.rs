@@ -4,19 +4,27 @@
 
 use rqs_core::threshold::ThresholdConfig;
 use rqs_kv::{workload, ByzantineMode, KvSim, WorkloadConfig};
+use rqs_sim::CrashMode;
 
 fn run_trace(seed: u64, batch: usize, byzantine: bool) -> Vec<String> {
-    run_trace_depth(seed, batch, byzantine, 1)
+    run_trace_depth(seed, batch, byzantine, 1, false)
 }
 
-fn run_trace_depth(seed: u64, batch: usize, byzantine: bool, depth: usize) -> Vec<String> {
+fn run_trace_depth(
+    seed: u64,
+    batch: usize,
+    byzantine: bool,
+    depth: usize,
+    crashed: bool,
+) -> Vec<String> {
     let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
     let mut sim = KvSim::new(rqs, 16, 4);
     if byzantine {
         sim.make_byzantine(1, ByzantineMode::Forge);
     }
-    if depth > 1 {
-        sim.set_pipeline(depth);
+    sim.set_pipeline(depth);
+    if crashed {
+        sim.crash_server(3, CrashMode::Retain);
     }
     let cfg = WorkloadConfig::mixed(16, 4, 120, seed);
     sim.run_workload(&workload::generate(&cfg), batch);
@@ -51,30 +59,39 @@ fn different_seeds_diverge() {
 }
 
 #[test]
-fn depth_one_reproduces_pre_pipelining_traces_exactly() {
-    // The golden file was captured from the client before pipelining
-    // existed (same seed, batch, deployment shape). Depth 1 must keep
-    // reproducing it byte for byte: the pipelined client with an empty
-    // backlog IS the legacy client.
-    let golden = include_str!("golden_depth1_seed42.txt");
+fn depth_one_seed_42_reproduces_the_pinned_trace() {
+    // A plain regression pin on one run's schedule: any change to when
+    // rounds end, how they are timed or how waves launch shows up here
+    // as a diff to review. Re-pinned once, when round completion became
+    // one rule (a timed round ends as soon as its outcome is decided):
+    // against the trace it replaced, the first five columns — client,
+    // kind, object, returned pair, rounds — are identical line by line
+    // (all 120 ops, all single fast rounds); only the `[invoked,
+    // completed]` ticks differ, a wave now taking the 2-tick round trip
+    // instead of the 3-tick timer (last op t48 → t32).
+    let pinned = include_str!("pinned_trace_depth1_seed42.txt");
     let trace = run_trace(42, 4, false).join("\n");
     assert_eq!(
         trace,
-        golden.trim_end(),
-        "depth-1 trace drifted from the pre-pipelining golden"
+        pinned.trim_end(),
+        "depth-1 seed-42 trace drifted from the pinned one"
     );
 }
 
 #[test]
 fn same_seed_byte_identical_traces_at_any_fixed_depth() {
-    for depth in [2, 4, 8] {
-        let a = run_trace_depth(33, 4, false, depth);
-        let b = run_trace_depth(33, 4, false, depth);
+    // With a server down every op runs on its round timer, which comes
+    // from the clients' round-trip estimates: the crashed runs pin that
+    // the adaptive path is as deterministic as the fault-free one.
+    for (depth, crashed) in [(2, false), (4, false), (8, false), (1, true), (4, true)] {
+        let a = run_trace_depth(33, 4, false, depth, crashed);
+        let b = run_trace_depth(33, 4, false, depth, crashed);
         assert!(!a.is_empty());
+        assert_eq!(crashed, a.iter().any(|op| op.contains("rounds=2")));
         assert_eq!(
             a.join("\n"),
             b.join("\n"),
-            "depth {depth} must stay deterministic"
+            "depth {depth} (crashed: {crashed}) must stay deterministic"
         );
     }
 }

@@ -3,9 +3,9 @@
 //! Byzantine server — complete exactly once and stay atomic on both
 //! substrates (deterministic simulator and threaded runtime).
 //!
-//! The depth-1 ⇒ byte-identical-legacy-trace pin lives in the golden
-//! determinism tests; here the property is the checker's verdict across
-//! the randomized (depth × faults × mix) matrix.
+//! One pinned depth-1 schedule lives in the determinism tests; here the
+//! property is the checker's verdict across the randomized
+//! (depth × faults × mix) matrix.
 
 use proptest::prelude::*;
 use rqs_core::threshold::ThresholdConfig;

@@ -16,6 +16,26 @@
 //!      acks in time the read finishes in 2 rounds, otherwise a round-2
 //!      write-back follows (3 rounds);
 //!    - otherwise → round-1 then round-2 write-backs.
+//!
+//! # When a timed round ends
+//!
+//! As in the writer, a timed round ends when its timer fires or as soon
+//! as its outcome can no longer change, whichever is first:
+//!
+//! - the fast round-1 write-back (lines 43–46) ends when the acks contain
+//!   a quorum of `X` — `X` was fixed when the write-back started and the
+//!   ack set only grows, so the test is monotone and the timer could
+//!   only confirm the 2-round completion — or when all `n` servers
+//!   acked (no superset exists; this exit may take the fall-through);
+//! - round 1 of the regular part ends early **only** when all `n` servers
+//!   answered. What that round fixes at its end — `highest_ts`, `QC'2`
+//!   and through them `csel` and the `BCD` sets — is *not* monotone in
+//!   the set of answers: one more `rd_ack` can raise `highest_ts`,
+//!   validate a higher candidate or add a quorum to `QC'2`, so no proper
+//!   subset of the servers decides it.
+//!
+//! Either way the decision is the one the timer would have produced on
+//! the same answers: `rounds` per read cannot change, only ticks.
 
 use crate::history::History;
 use crate::messages::StorageMsg;
@@ -82,6 +102,22 @@ struct Writeback {
     rounds_so_far: usize,
 }
 
+impl Writeback {
+    /// Line 46: did one of the detected class-2 quorums ack?
+    fn confirmed(&self, rqs: &Rqs) -> bool {
+        match &self.kind {
+            WbKind::FastRound1 { x } => x.iter().any(|&q2| rqs.quorum(q2).is_subset_of(self.acks)),
+            WbKind::PlainRound1 | WbKind::FinalRound2 => false,
+        }
+    }
+
+    /// `true` iff no further ack can change how the timed write-back
+    /// ends (see the module header).
+    fn decided(&self, rqs: &Rqs) -> bool {
+        self.acks.len() == rqs.universe_size() || self.confirmed(rqs)
+    }
+}
+
 #[derive(Debug)]
 enum State {
     Idle,
@@ -117,7 +153,6 @@ pub struct Reader {
     outcomes: Vec<ReadOutcome>,
     muts: Mutations,
     obs: Obs,
-    eager: bool,
     round_timeout: u64,
 }
 
@@ -142,7 +177,6 @@ impl Reader {
             outcomes: Vec::new(),
             muts: Mutations::default(),
             obs: Obs::nop(),
-            eager: false,
             round_timeout: CLIENT_TIMEOUT,
         }
     }
@@ -150,23 +184,11 @@ impl Reader {
     /// Overrides the per-round timer (default [`CLIENT_TIMEOUT`]), the
     /// read-side analogue of
     /// [`Writer::set_round_timeout`](crate::writer::Writer::set_round_timeout):
-    /// a synchrony knob, not a safety ingredient — patience only delays
-    /// the fall-back write-back rounds.
+    /// a synchrony assumption, not a safety ingredient — patience only
+    /// delays the fall-back write-back rounds, haste may cost one.
     pub fn set_round_timeout(&mut self, ticks: u64) {
         assert!(ticks >= 1, "round timeout must be at least one tick");
         self.round_timeout = ticks;
-    }
-
-    /// Enables eager round completion, the read-side analogue of
-    /// [`Writer::set_eager_completion`](crate::writer::Writer::set_eager_completion):
-    /// once every server in the universe has answered the current timed
-    /// round (phase-1 round 1, or a fast round-1 write-back), the `2Δ`
-    /// timer can contribute no further information, so the round is
-    /// settled immediately. Off by default — it changes event schedules,
-    /// which golden-trace deployments pin; the pipelined hot path
-    /// switches it on.
-    pub fn set_eager_completion(&mut self, on: bool) {
-        self.eager = on;
     }
 
     /// Installs a structured-trace observer; by convention its tag is the
@@ -363,7 +385,7 @@ impl Reader {
             Self::enter_phase1_round(
                 p1,
                 self.read_no,
-                &self.servers.clone(),
+                &self.servers,
                 &self.obs,
                 self.round_timeout,
                 ctx,
@@ -509,12 +531,8 @@ impl Reader {
         let csel = wb.csel.clone();
         let invoked_at = wb.invoked_at;
         match &wb.kind {
-            WbKind::FastRound1 { x } => {
-                // Line 46: did one of the detected class-2 quorums ack?
-                let confirmed = x
-                    .iter()
-                    .any(|&q2| self.rqs.quorum(q2).is_subset_of(wb.acks));
-                if confirmed {
+            WbKind::FastRound1 { .. } => {
+                if wb.confirmed(&self.rqs) {
                     self.complete(csel, rounds, invoked_at, ctx);
                 } else {
                     // Line 47: final round-2 write-back.
@@ -592,10 +610,7 @@ impl Automaton<StorageMsg> for Reader {
                 }
                 // All n answered the timed round: nothing more can
                 // arrive, so settle without waiting out the timer.
-                if self.eager
-                    && !p1.timer_expired
-                    && p1.acks_this_round.len() == self.rqs.universe_size()
-                {
+                if !p1.timer_expired && p1.acks_this_round.len() == self.rqs.universe_size() {
                     p1.timer_expired = true;
                     if let Some(timer) = p1.timer.take() {
                         ctx.cancel_timer(timer);
@@ -615,7 +630,7 @@ impl Automaton<StorageMsg> for Reader {
                     return;
                 }
                 wb.acks.insert(sender);
-                if self.eager && !wb.timer_expired && wb.acks.len() == self.rqs.universe_size() {
+                if !wb.timer_expired && wb.decided(&self.rqs) {
                     wb.timer_expired = true;
                     if let Some(timer) = wb.timer.take() {
                         ctx.cancel_timer(timer);
@@ -759,7 +774,6 @@ mod tests {
         let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
         let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
         let mut r = Reader::new(rqs, servers);
-        r.set_eager_completion(true);
         let mut c = Context::new(NodeId(5), Time(0), 0);
         r.start_read(&mut c);
         let timer = c.armed_timers()[0].1;
@@ -771,7 +785,10 @@ mod tests {
         for i in 0..4 {
             let mut c2 = Context::new(NodeId(5), Time(2), 1);
             r.on_message(NodeId(i), ack(), &mut c2);
-            assert!(r.outcomes().is_empty(), "n−1 acks must await the timer");
+            assert!(
+                r.outcomes().is_empty(),
+                "a class-1 quorum of answers decides nothing: one more can move csel"
+            );
         }
         // The nth ack settles phase 1 at ack time and cancels the timer;
         // the unwritten register resolves to ⟨0,⊥⟩ in one round.
@@ -782,6 +799,51 @@ mod tests {
         assert!(out.returned.is_initial());
         assert_eq!(out.rounds, 1);
         assert_eq!(out.completed_at, Time(3));
+    }
+
+    #[test]
+    fn fast_writeback_settles_at_a_quorum_of_x() {
+        use rqs_sim::Time;
+        let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
+        let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let x = rqs.class2_within([0, 1, 2].into_iter().map(ProcessId).collect());
+        assert_eq!(x.len(), 1, "{{0,1,2}} is exactly one class-2 quorum");
+        let csel = TsVal::new(4, Value::from(9u64));
+        let ack = StorageMsg::WrAck { ts: 4, rnd: 1 };
+        let start = |r: &mut Reader| {
+            let mut c = Context::new(NodeId(5), Time(0), 0);
+            r.read_no = 1;
+            let kind = WbKind::FastRound1 { x: x.clone() };
+            r.start_writeback(csel.clone(), kind, 1, Time(0), &mut c);
+            c.armed_timers()[0].1
+        };
+        // A quorum outside X decides nothing: X could still show up.
+        let mut r = Reader::new(rqs.clone(), servers.clone());
+        let timer = start(&mut r);
+        for i in 2..5 {
+            let mut c = Context::new(NodeId(5), Time(2), 1);
+            r.on_message(NodeId(i), ack.clone(), &mut c);
+            assert!(c.cancelled_timers().is_empty() && c.sent().is_empty());
+        }
+        // …and the timer then takes the fall-through (3 rounds).
+        let mut c = Context::new(NodeId(5), Time(3), 2);
+        r.on_timer(timer, &mut c);
+        assert!(matches!(&c.sent()[0].1, StorageMsg::Wr { rnd: 2, .. }));
+        // The quorum of X decides the round at its last ack: 2 rounds,
+        // completed at ack time, timer released.
+        let mut r = Reader::new(rqs, servers);
+        let timer = start(&mut r);
+        for i in 0..3 {
+            assert!(r.outcomes().is_empty());
+            let mut c = Context::new(NodeId(5), Time(2), 1);
+            r.on_message(NodeId(i), ack.clone(), &mut c);
+            if i == 2 {
+                assert_eq!(c.cancelled_timers(), &[timer]);
+            }
+        }
+        let out = &r.outcomes()[0];
+        assert_eq!((out.rounds, out.completed_at), (2, Time(2)));
+        assert_eq!(out.returned, csel);
     }
 
     #[test]

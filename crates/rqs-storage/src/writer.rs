@@ -14,6 +14,25 @@
 //! every ack arriving *within* the synchrony bound is counted before the
 //! timer fires. Latency is measured in protocol rounds, not ticks, so this
 //! changes nothing observable.
+//!
+//! # When a timed round ends
+//!
+//! The timer of rounds 1 and 2 exists to collect as many acks as the
+//! synchrony bound allows before the ack set is classified. A round
+//! therefore ends when its timer fires *or as soon as its outcome can no
+//! longer change*, whichever is first. The ack set only grows, and each
+//! early exit is the success branch of a test that is monotone in it:
+//!
+//! - round 1, "the acks contain a class-1 quorum" — true of every
+//!   superset, so the timer could only confirm `complete(1)`;
+//! - round 2, "the acks contain a quorum of `QC'2`" — `QC'2` was fixed
+//!   when round 1 ended, so again every superset completes in 2 rounds;
+//! - either round, "all `n` servers acked" — no superset exists, so the
+//!   set the timer would classify is the one at hand (this is the only
+//!   early exit that can take the *failure* branch).
+//!
+//! The decision is the one the timer would have produced: `rounds` per
+//! write cannot change, only the tick at which it is known.
 
 use crate::messages::StorageMsg;
 use crate::value::{Timestamp, Value};
@@ -67,8 +86,11 @@ pub struct Writer {
     current: Option<WriteInProgress>,
     outcomes: Vec<WriteOutcome>,
     obs: Obs,
-    eager: bool,
     round_timeout: u64,
+    /// Planted bug for the `rqs-check` mutation tests: round 1 treats a
+    /// class-2 quorum of acks as if it were class 1. `false` in every
+    /// normal build; only the `mutants`-gated constructor sets it.
+    settle_on_class2: bool,
 }
 
 impl Writer {
@@ -91,38 +113,31 @@ impl Writer {
             current: None,
             outcomes: Vec::new(),
             obs: Obs::nop(),
-            eager: false,
             round_timeout: CLIENT_TIMEOUT,
+            settle_on_class2: false,
         }
+    }
+
+    /// Mutant: a writer that completes in one round as soon as a
+    /// *class-2* quorum acked round 1, skipping the round that tells
+    /// servers which class-2 quorum holds the value. With `k > 0` two
+    /// quorums may intersect in too few benign servers for a reader to
+    /// tell that write from a forgery. For checker self-tests only.
+    #[cfg(feature = "mutants")]
+    pub fn new_mutant_settle_on_class2(rqs: Arc<Rqs>, servers: Vec<NodeId>) -> Self {
+        let mut w = Writer::new(rqs, servers);
+        w.settle_on_class2 = true;
+        w
     }
 
     /// Overrides the per-round timer (default [`CLIENT_TIMEOUT`], the
     /// paper's `2Δ + 1`). The timeout is a synchrony assumption, not a
-    /// safety ingredient: lengthening it never forfeits atomicity, it
-    /// only delays the fall-back to the next round. Pipelined clients
-    /// stretch it in proportion to their depth — self-induced queueing
-    /// inflates the effective `Δ`, and with eager completion the timer
-    /// is pure fall-back, so patience converts spurious second rounds
-    /// into single-round completions.
+    /// safety ingredient: a longer timer never forfeits atomicity, it
+    /// only delays the fall-back to the next round, and a shorter one
+    /// may cost a round, never correctness.
     pub fn set_round_timeout(&mut self, ticks: u64) {
         assert!(ticks >= 1, "round timeout must be at least one tick");
         self.round_timeout = ticks;
-    }
-
-    /// Enables eager round completion: when *every* server in the
-    /// universe has acked the current round, the round is settled
-    /// immediately instead of waiting out the `2Δ` timer.
-    ///
-    /// This is information-equivalent to the paper's protocol — the
-    /// timer exists only to collect as many acks as the synchrony bound
-    /// allows before classifying the quorum, and once all `n` acks are
-    /// in, no further ack can arrive. It changes event *schedules*
-    /// though (ops complete at ack time, not timer time), so it is
-    /// off by default and deployments that pin golden traces leave it
-    /// off; the pipelined hot path switches it on to keep lanes moving
-    /// at network speed instead of timer speed.
-    pub fn set_eager_completion(&mut self, on: bool) {
-        self.eager = on;
     }
 
     /// Installs a structured-trace observer; by convention its tag is the
@@ -254,6 +269,32 @@ impl Writer {
         );
     }
 
+    /// Round 1's success test: the acks contain a class-1 quorum (the
+    /// planted mutant also accepts a class-2 one).
+    fn fast_quorum_within(&self, acks: ProcessSet) -> bool {
+        self.rqs.class1_within(acks).is_some()
+            || (self.settle_on_class2 && !self.rqs.class2_within(acks).is_empty())
+    }
+
+    /// Round 2's success test: the acks contain a quorum of `QC'2`.
+    fn qc2_prime_within(&self, w: &WriteInProgress) -> bool {
+        w.qc2_prime
+            .iter()
+            .any(|&q2| self.rqs.quorum(q2).is_subset_of(w.acks))
+    }
+
+    /// `true` iff no further ack can change how the timed round ends
+    /// (see the module header): its success test already holds, or every
+    /// server has acked.
+    fn round_decided(&self, w: &WriteInProgress) -> bool {
+        w.acks.len() == self.rqs.universe_size()
+            || match w.round {
+                1 => self.fast_quorum_within(w.acks),
+                2 => self.qc2_prime_within(w),
+                _ => false,
+            }
+    }
+
     fn try_finish_round(&mut self, ctx: &mut Context<StorageMsg>) {
         let Some(w) = self.current.as_ref() else {
             return;
@@ -273,7 +314,7 @@ impl Writer {
         );
         match round {
             1 => {
-                if self.rqs.class1_within(w.acks).is_some() {
+                if self.fast_quorum_within(w.acks) {
                     self.complete(1, ctx);
                 } else {
                     let qc2 = self.rqs.class2_within(w.acks);
@@ -282,11 +323,7 @@ impl Writer {
                 }
             }
             2 => {
-                let acked_from_qc2_prime = w
-                    .qc2_prime
-                    .iter()
-                    .any(|&q2| self.rqs.quorum(q2).is_subset_of(w.acks));
-                if acked_from_qc2_prime {
+                if self.qc2_prime_within(w) {
                     self.complete(2, ctx);
                 } else {
                     self.current
@@ -348,10 +385,8 @@ impl Automaton<StorageMsg> for Writer {
             return; // ack for an earlier round/operation
         }
         w.acks.insert(sender);
-        // All n acks collected: the timer can contribute nothing more,
-        // so (when eager completion is on) settle the round now and
-        // release the timer back to the wheel.
-        if self.eager && !w.timer_expired && w.acks.len() == self.rqs.universe_size() {
+        if !w.timer_expired && self.round_decided(self.current.as_ref().expect("in progress")) {
+            let w = self.current.as_mut().expect("in progress");
             w.timer_expired = true;
             if let Some(timer) = w.timer.take() {
                 ctx.cancel_timer(timer);
@@ -424,20 +459,28 @@ mod tests {
         let mut ctx = new_ctx(0);
         w.start_write(Value::from(7u64), &mut ctx);
         let timer = ctx.armed_timers()[0].1;
-        // 4 acks (a class-1 quorum) arrive…
-        for i in 0..4 {
+        // 3 acks are a class-2 quorum only: the timer could still reveal
+        // a class-1 quorum, so the round keeps waiting…
+        for i in 0..3 {
             let mut c = new_ctx(2);
             w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
-            assert!(!w.is_idle(), "must await the timer");
+            assert!(!w.is_idle(), "undecided: must await the timer");
         }
-        // …then the timer fires: complete in 1 round.
-        let mut c = new_ctx(3);
-        w.on_timer(timer, &mut c);
+        // …the 4th completes a class-1 quorum: decided, so the write
+        // completes at ack time and hands the timer back to the wheel.
+        let mut c = new_ctx(2);
+        w.on_message(NodeId(3), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
         assert!(w.is_idle());
+        assert_eq!(c.cancelled_timers(), &[timer]);
         let out = &w.outcomes()[0];
         assert_eq!(out.rounds, 1);
         assert_eq!(out.ts, 1);
-        assert_eq!(out.completed_at, Time(3));
+        assert_eq!(out.completed_at, Time(2));
+        // The straggler's ack and the stale timer are both inert.
+        let mut c = new_ctx(3);
+        w.on_message(NodeId(4), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
+        w.on_timer(timer, &mut c);
+        assert_eq!(w.outcomes().len(), 1);
     }
 
     #[test]
@@ -463,15 +506,19 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // same 3 servers ack round 2; then timer.
+        // The same 3 servers ack round 2: the third ack completes a
+        // quorum of QC'2, which decides the round without its timer.
         for i in 0..3 {
+            assert!(!w.is_idle());
             let mut c = new_ctx(5);
             w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 2 }, &mut c);
+            if i == 2 {
+                assert_eq!(c.cancelled_timers(), &[round2_timer]);
+            }
         }
-        let mut c = new_ctx(6);
-        w.on_timer(round2_timer, &mut c);
         assert!(w.is_idle());
         assert_eq!(w.outcomes()[0].rounds, 2);
+        assert_eq!(w.outcomes()[0].completed_at, Time(5));
     }
 
     #[test]
@@ -569,40 +616,57 @@ mod tests {
     }
 
     #[test]
-    fn eager_completion_settles_at_all_n_acks() {
-        let mut w = Writer::new(rqs_5(), servers());
-        w.set_eager_completion(true);
+    fn all_n_acks_settle_a_round_on_its_failure_branch() {
+        // Majorities of 5 with no fast classes: round 1 can never
+        // succeed, but once all n acked the timer has nothing left to
+        // reveal — the round ends at the nth ack and round 2 starts.
+        let rqs = Arc::new(ThresholdConfig::classic_crash(5).build().unwrap());
+        let mut w = Writer::new(rqs, servers());
         let mut ctx = new_ctx(0);
         w.start_write(Value::from(7u64), &mut ctx);
         let timer = ctx.armed_timers()[0].1;
-        // n−1 acks: a class-1 quorum, but the timer could still reveal
-        // more — the round must keep waiting.
         for i in 0..4 {
             let mut c = new_ctx(2);
             w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
-            assert!(!w.is_idle(), "n−1 acks must still await the timer");
+            assert!(c.sent().is_empty(), "n−1 acks must still await the timer");
         }
-        // The nth ack settles immediately — no timer firing — and hands
-        // the now-useless timer back to the wheel.
         let mut c = new_ctx(3);
         w.on_message(NodeId(4), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
-        assert!(w.is_idle());
         assert_eq!(c.cancelled_timers(), &[timer]);
-        let out = &w.outcomes()[0];
-        assert_eq!(out.rounds, 1);
-        assert_eq!(out.completed_at, Time(3), "completes at ack time");
+        assert!(!w.is_idle());
+        match &c.sent()[0].1 {
+            StorageMsg::Wr { rnd, sets, .. } => {
+                assert_eq!(*rnd, 2);
+                assert!(sets.is_empty(), "no class-2 quorum exists to carry");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
-    fn eager_completion_off_still_waits_for_the_timer() {
+    fn undecided_round_still_waits_for_the_timer() {
         let mut w = Writer::new(rqs_5(), servers());
         let mut ctx = new_ctx(0);
         w.start_write(Value::from(7u64), &mut ctx);
-        for i in 0..5 {
+        let timer = ctx.armed_timers()[0].1;
+        // Round 1: 3 of 5 is neither a class-1 quorum nor all n.
+        for i in 0..3 {
             let mut c = new_ctx(2);
             w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
         }
-        assert!(!w.is_idle(), "default mode keeps the paper's schedule");
+        assert_eq!(w.current.as_ref().unwrap().round, 1);
+        let mut c = new_ctx(3);
+        w.on_timer(timer, &mut c);
+        let round2_timer = c.armed_timers()[0].1;
+        // Round 2: a quorum outside QC'2 = {{0,1,2}} decides nothing
+        // either — a QC'2 quorum could still show up.
+        for i in 2..5 {
+            let mut c = new_ctx(5);
+            w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 2 }, &mut c);
+            assert!(c.cancelled_timers().is_empty());
+        }
+        assert_eq!(w.current.as_ref().unwrap().round, 2);
+        assert_eq!(w.current.as_ref().unwrap().timer, Some(round2_timer));
     }
 
     #[test]
@@ -629,7 +693,6 @@ mod tests {
             let mut ctx = new_ctx(0);
             w.start_write(Value::from(expect_ts), &mut ctx);
             assert_eq!(w.last_ts(), expect_ts);
-            let timer = ctx.armed_timers()[0].1;
             for i in 0..4 {
                 let mut c = new_ctx(2);
                 w.on_message(
@@ -641,8 +704,6 @@ mod tests {
                     &mut c,
                 );
             }
-            let mut c = new_ctx(3);
-            w.on_timer(timer, &mut c);
             assert!(w.is_idle());
         }
         assert_eq!(w.outcomes().len(), 3);
