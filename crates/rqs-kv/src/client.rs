@@ -873,6 +873,22 @@ impl KvClient {
         self.pending.flush(ctx);
     }
 
+    /// One step over the queued `envelopes`: every item of every envelope
+    /// is dispatched, then whatever the inner automata sent — next
+    /// rounds, the ops a freed lane launched — leaves in one flush.
+    fn step(
+        &mut self,
+        envelopes: impl Iterator<Item = (NodeId, KvBatch)>,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        for (from, batch) in envelopes {
+            for item in batch.0 {
+                self.dispatch(from, item, ctx);
+            }
+        }
+        self.flush(ctx);
+    }
+
     /// Routes one incoming item to the inner automaton it addresses.
     fn dispatch(&mut self, from: NodeId, item: KvItem, ctx: &mut Context<KvBatch>) {
         let KvItem { object, lane, msg } = item;
@@ -927,11 +943,17 @@ impl Automaton<KvBatch> for KvClient {
         rqs_sim::fnv1a_fold(acc, self.in_flight as u64)
     }
 
+    /// The step over one envelope.
     fn on_message(&mut self, from: NodeId, batch: KvBatch, ctx: &mut Context<KvBatch>) {
-        for item in batch.0 {
-            self.dispatch(from, item, ctx);
-        }
-        self.flush(ctx);
+        self.step(std::iter::once((from, batch)), ctx);
+    }
+
+    fn on_messages(
+        &mut self,
+        batch: std::vec::Drain<'_, (NodeId, KvBatch)>,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        self.step(batch, ctx);
     }
 
     fn on_timer(&mut self, timer: TimerToken, ctx: &mut Context<KvBatch>) {

@@ -1248,7 +1248,8 @@ mod tests {
 
     #[test]
     fn threaded_pipelined_writes_log_exactly_the_traced_deltas() {
-        // Pipelined writes on real threads commit one group per envelope:
+        // Pipelined writes on real threads commit one group per step —
+        // the envelopes a server found queued, however many that was:
         // every record is whole (appends == syncs, the deltas the stores
         // report are exactly the deltas recoverable from the logs), and
         // the service stays per-object atomic across an amnesia crash

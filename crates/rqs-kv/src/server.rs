@@ -1,13 +1,16 @@
 //! The multi-object server automaton and its Byzantine variants.
 //!
 //! A [`KvServer`] is a bank of per-object benign [`Server`] automata
-//! behind one node id: each incoming [`KvBatch`] is unpacked, every item
-//! is routed to the state of its object (created on first touch), and all
-//! replies produced by the step are re-batched per destination — so a
-//! batch of `B` writes costs one request envelope and one reply envelope
-//! instead of `2B`. A durable server journals the same way: the step's
-//! effective writes go into one [`DeltaGroup`], appended to the store as
-//! a single record (one sync point) before the step's replies leave.
+//! behind one node id. A step takes every [`KvBatch`] envelope queued
+//! for the node when it began: each is unpacked, every item is routed to
+//! the state of its object (created on first touch), and all replies
+//! produced by the step are re-batched per destination — so a batch of
+//! `B` writes costs one request envelope and one reply envelope instead
+//! of `2B`, and two envelopes from one client are answered by one. A
+//! durable server journals the same way: the step's effective writes,
+//! whichever envelopes and clients they came from, go into one
+//! [`DeltaGroup`], appended to the store as a single record (one sync
+//! point) before any of the step's replies leave.
 
 use crate::messages::{BatchAccumulator, KvBatch, KvItem};
 use crate::object::ObjectId;
@@ -71,6 +74,32 @@ impl KvServer {
             .map(|s| s.history().clone())
             .unwrap_or_default()
     }
+
+    /// One step over the queued `envelopes`: every item of every envelope
+    /// goes to its object's server, the step's effective writes are
+    /// appended to the store as one record, and only then (write-ahead)
+    /// do the replies leave — one batch per destination. A record torn by
+    /// a crash takes the whole step's writes with it, and none of them
+    /// was acknowledged.
+    fn step(
+        &mut self,
+        envelopes: impl Iterator<Item = (NodeId, KvBatch)>,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        let durable = self.store.is_some();
+        for (from, batch) in envelopes {
+            for item in batch.0 {
+                let server = object_server(&mut self.objects, item.object);
+                if let Some(reply) = server.handle(item.msg, durable.then_some(&mut self.group)) {
+                    self.replies.push(from, item.object, item.lane, reply);
+                }
+            }
+        }
+        if let Some(store) = &self.store {
+            self.group.commit(store);
+        }
+        self.replies.flush(ctx);
+    }
 }
 
 impl Automaton<KvBatch> for KvServer {
@@ -83,22 +112,17 @@ impl Automaton<KvBatch> for KvServer {
         acc
     }
 
-    /// One step: every item goes to its object's server, the step's
-    /// effective writes are appended to the store as one record, and only
-    /// then (write-ahead) do the replies leave — one batch per
-    /// destination.
+    /// The step over one envelope.
     fn on_message(&mut self, from: NodeId, batch: KvBatch, ctx: &mut Context<KvBatch>) {
-        let durable = self.store.is_some();
-        for item in batch.0 {
-            let server = object_server(&mut self.objects, item.object);
-            if let Some(reply) = server.handle(item.msg, durable.then_some(&mut self.group)) {
-                self.replies.push(from, item.object, item.lane, reply);
-            }
-        }
-        if let Some(store) = &self.store {
-            self.group.commit(store);
-        }
-        self.replies.flush(ctx);
+        self.step(std::iter::once((from, batch)), ctx);
+    }
+
+    fn on_messages(
+        &mut self,
+        batch: std::vec::Drain<'_, (NodeId, KvBatch)>,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        self.step(batch, ctx);
     }
 
     fn save_state(&mut self) {
@@ -342,15 +366,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn torn_group_is_discarded_whole_and_none_of_it_was_acked() {
+    /// A medium that keeps torn tails, as the way to open one process's
+    /// store over it: a store that dies in its `appends_left + 1`-th
+    /// append.
+    fn torn_medium() -> impl Fn(usize) -> StoreHandle {
         let medium = Arc::new(Mutex::new(MemDurable::with_config(StoreConfig::lazy(0))));
-        let open = |appends_left| {
+        move |appends_left| {
             StoreHandle::new(Box::new(DiesInAppend {
                 medium: medium.clone(),
                 appends_left,
             }))
-        };
+        }
+    }
+
+    #[test]
+    fn torn_group_is_discarded_whole_and_none_of_it_was_acked() {
+        let open = torn_medium();
         let store = open(1);
         let mut s = KvServer::with_store(store.clone());
         let mut c = test_ctx();
@@ -394,6 +425,62 @@ mod tests {
             assert_eq!(h.len(), 1, "object {o} must not see the torn group");
         }
         assert!(recovered.history(ObjectId(2)).is_empty());
+    }
+
+    #[test]
+    fn torn_cross_envelope_group_acks_neither_client_and_recovers_neither_write() {
+        let open = torn_medium();
+        let mut s = KvServer::with_store(open(0));
+        // One step over two envelopes from two clients: their writes
+        // share the group, and the process dies appending it.
+        let mut queued = vec![
+            (NodeId(8), KvBatch(vec![wr(0, Lane::Writer, 1, 10)])),
+            (NodeId(9), KvBatch(vec![wr(1, Lane::Writer, 1, 11)])),
+        ];
+        let mut c = test_ctx();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.on_messages(queued.drain(..), &mut c)
+        }));
+        assert!(died.is_err());
+        assert!(
+            c.sent().is_empty(),
+            "no ack to either client may precede the step's one append"
+        );
+
+        let store = open(usize::MAX);
+        let mut recovered = KvServer::with_store(store.clone());
+        assert_eq!(recovered.restore_state(), 0);
+        assert_eq!(store.stats().torn_discarded, 1, "one record for both");
+        for o in [0, 1] {
+            assert!(recovered.history(ObjectId(o)).is_empty(), "object {o}");
+        }
+    }
+
+    #[test]
+    fn step_without_an_effective_write_appends_nothing_and_still_replies() {
+        let store = StoreHandle::mem();
+        let mut s = KvServer::with_store(store.clone());
+        s.on_message(
+            NodeId(8),
+            KvBatch(vec![wr(0, Lane::Writer, 1, 10)]),
+            &mut test_ctx(),
+        );
+        assert_eq!(store.stats().appends, 1);
+        // A read from one client and the same write again from another.
+        let rd = KvItem {
+            object: ObjectId(0),
+            lane: Lane::Reader,
+            msg: StorageMsg::Rd { read_no: 1, rnd: 1 },
+        };
+        let mut queued = vec![
+            (NodeId(9), KvBatch(vec![rd])),
+            (NodeId(8), KvBatch(vec![wr(0, Lane::Writer, 1, 10)])),
+        ];
+        let mut c = test_ctx();
+        s.on_messages(queued.drain(..), &mut c);
+        assert_eq!(store.stats().appends, 1, "nothing new to log");
+        let replied: Vec<NodeId> = c.sent().iter().map(|(to, _)| *to).collect();
+        assert_eq!(replied, [NodeId(8), NodeId(9)]);
     }
 
     #[test]

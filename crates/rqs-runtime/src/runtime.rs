@@ -4,8 +4,10 @@
 //! Every node runs on its own OS thread with a crossbeam channel inbox;
 //! messages travel between threads, and protocol timers (in simulated
 //! ticks) are mapped to wall-clock durations by a configurable tick
-//! length. This is the deployment used by the wall-clock benchmarks
-//! (experiment E11): same protocol code, real channels and real time.
+//! length. A node that wakes on a message takes the messages already in
+//! its inbox with it, as one step ([`Automaton::on_messages`]). This is
+//! the deployment used by the wall-clock benchmarks (experiment E11):
+//! same protocol code, real channels and real time.
 //!
 //! The runtime implements [`Substrate`], so every deployment driver
 //! written against that trait runs here unchanged. Fault scenarios
@@ -431,130 +433,22 @@ impl<M: Send + Clone + 'static> RuntimeBuilder<M> {
         // Node threads.
         let mut handles = Vec::with_capacity(n);
         let obs = Obs::new(self.tracer.clone(), 0);
-        for (i, (mut node, rx)) in self.nodes.into_iter().zip(receivers).enumerate() {
-            let net = net.clone();
-            let wheel = wheel.clone();
-            let obs = obs.clone();
-            let handle = spawn_named(&format!("rt-node-{i}"), move || {
-                let me = NodeId(i);
-                let mut timer_counter: u64 = (i as u64) << 32;
-                let mut cancelled: Vec<TimerToken> = Vec::new();
-                let mut crashed = false;
-                let mut crash_mode = CrashMode::Retain;
-                // Start hook, mirroring World::start.
-                {
-                    let mut ctx: Context<M> = Context::new(me, Time(0), timer_counter);
-                    node.on_start(&mut ctx);
-                    timer_counter = drain_context(ctx, me, &net, &wheel, &mut cancelled, tick);
-                }
-                for event in rx.iter() {
-                    let now_ticks = started_ticks(started, tick);
-                    let mut ctx: Context<M> = Context::new(me, Time(now_ticks), timer_counter);
-                    match event {
-                        Event::Shutdown => return,
-                        Event::Crash(mode) => {
-                            crashed = true;
-                            crash_mode = mode;
-                            // Timers are volatile state: purge this
-                            // node's pending wheel entries so no
-                            // pre-crash timer fires after a restart.
-                            let mut heap = wheel.heap.lock();
-                            let drained = std::mem::take(&mut *heap);
-                            let mut purged = Vec::new();
-                            *heap = drained
-                                .into_iter()
-                                .filter(|r| {
-                                    if r.node == i {
-                                        purged.push(r.token);
-                                    }
-                                    r.node != i
-                                })
-                                .collect();
-                            drop(heap);
-                            // Purged entries will never reach the wheel's
-                            // pop-time check; drop their suppression
-                            // markers too so the set stays bounded.
-                            if !purged.is_empty() {
-                                let mut wheel_cancelled = wheel.cancelled.lock();
-                                for token in purged {
-                                    wheel_cancelled.remove(&token.0);
-                                }
-                            }
-                            wheel.suppressed[i].lock().clear();
-                            cancelled.clear();
-                            obs.emit(
-                                TraceKind::Crash,
-                                now_ticks,
-                                i as u64,
-                                LANE_SYS,
-                                mode as u64,
-                                0,
-                            );
-                            continue;
-                        }
-                        Event::Restart => {
-                            crashed = false;
-                            let mut replayed = 0usize;
-                            let mut amnesia = 0u64;
-                            if crash_mode == CrashMode::Amnesia {
-                                crash_mode = CrashMode::Retain;
-                                replayed = node.restore_state();
-                                amnesia = 1;
-                            }
-                            obs.emit(
-                                TraceKind::Recover,
-                                now_ticks,
-                                i as u64,
-                                LANE_SYS,
-                                replayed as u64,
-                                amnesia,
-                            );
-                            continue;
-                        }
-                        Event::Replace(new_node) => {
-                            node = new_node;
-                            continue;
-                        }
-                        // A crashed node neither receives nor fires
-                        // timers (messages arriving meanwhile are lost,
-                        // like the simulator's crashed-receiver drops);
-                        // Call still runs so inspection keeps working.
-                        Event::Msg { from, .. } if crashed => {
-                            obs.emit(
-                                TraceKind::Drop,
-                                now_ticks,
-                                i as u64,
-                                LANE_SYS,
-                                from.0 as u64,
-                                1,
-                            );
-                            continue;
-                        }
-                        Event::Timer(_) if crashed => continue,
-                        Event::Msg { from, msg } => {
-                            obs.emit(
-                                TraceKind::Deliver,
-                                now_ticks,
-                                i as u64,
-                                LANE_SYS,
-                                from.0 as u64,
-                                0,
-                            );
-                            node.on_message(from, msg, &mut ctx)
-                        }
-                        Event::Timer(token) => {
-                            if let Some(pos) = cancelled.iter().position(|&t| t == token) {
-                                cancelled.swap_remove(pos);
-                            } else {
-                                node.on_timer(token, &mut ctx);
-                            }
-                        }
-                        Event::Call(f) => f(node.as_mut(), &mut ctx),
-                    }
-                    timer_counter = drain_context(ctx, me, &net, &wheel, &mut cancelled, tick);
-                }
-            });
-            handles.push(handle);
+        for (i, (node, rx)) in self.nodes.into_iter().zip(receivers).enumerate() {
+            let host = NodeHost {
+                me: NodeId(i),
+                node,
+                net: net.clone(),
+                wheel: wheel.clone(),
+                obs: obs.clone(),
+                started,
+                tick,
+                timer_counter: (i as u64) << 32,
+                cancelled: Vec::new(),
+                crashed: false,
+                crash_mode: CrashMode::Retain,
+                batch: Vec::new(),
+            };
+            handles.push(spawn_named(&format!("rt-node-{i}"), move || host.run(rx)));
         }
 
         Runtime {
@@ -570,6 +464,164 @@ impl<M: Send + Clone + 'static> RuntimeBuilder<M> {
             tick,
             op_timeout: self.op_timeout,
         }
+    }
+}
+
+/// One node thread: the automaton and what hosting it takes.
+struct NodeHost<M: Send + 'static> {
+    me: NodeId,
+    node: Box<dyn Automaton<M> + Send>,
+    net: Arc<NetOut<M>>,
+    wheel: Arc<TimerWheel>,
+    obs: Obs,
+    started: Instant,
+    tick: Duration,
+    timer_counter: u64,
+    /// Timers cancelled while their firing may already be in the inbox.
+    cancelled: Vec<TimerToken>,
+    crashed: bool,
+    crash_mode: CrashMode,
+    /// The batch of the message step being taken (empty between steps;
+    /// kept for its capacity).
+    batch: Vec<(NodeId, M)>,
+}
+
+impl<M: Send + Clone + 'static> NodeHost<M> {
+    /// The node loop: one inbox event per turn, except that a message
+    /// takes with it the messages already queued behind it, up to the
+    /// first event of another kind — that one is held and handled on the
+    /// next turn, so inbox order is kept and a crash queued between two
+    /// messages still loses the second.
+    fn run(mut self, rx: Receiver<Event<M>>) {
+        // Start hook, mirroring World::start.
+        self.step(0, |node, ctx| node.on_start(ctx));
+        let mut held = None;
+        while let Some(event) = held.take().or_else(|| rx.recv().ok()) {
+            let now = started_ticks(self.started, self.tick);
+            match event {
+                Event::Shutdown => return,
+                Event::Crash(mode) => self.crash(now, mode),
+                Event::Restart => self.restart(now),
+                Event::Replace(node) => self.node = node,
+                Event::Msg { from, msg } => {
+                    self.admit(now, from, msg);
+                    while let Ok(next) = rx.try_recv() {
+                        match next {
+                            Event::Msg { from, msg } => self.admit(now, from, msg),
+                            other => {
+                                held = Some(other);
+                                break;
+                            }
+                        }
+                    }
+                    // Empty iff the node is crashed: every message dropped.
+                    if !self.batch.is_empty() {
+                        let mut batch = std::mem::take(&mut self.batch);
+                        self.step(now, |node, ctx| node.on_messages(batch.drain(..), ctx));
+                        self.batch = batch;
+                    }
+                }
+                // A crashed node fires no timers, and a cancelled timer
+                // whose firing was already in flight is swallowed here.
+                Event::Timer(token) => {
+                    if let Some(pos) = self.cancelled.iter().position(|&t| t == token) {
+                        self.cancelled.swap_remove(pos);
+                    } else if !self.crashed {
+                        self.step(now, |node, ctx| node.on_timer(token, ctx));
+                    }
+                }
+                // Runs on a crashed node too, so inspection keeps working.
+                Event::Call(f) => self.step(now, |node, ctx| f(node, ctx)),
+            }
+        }
+    }
+
+    /// Runs one step of the automaton at tick `now` and sends what it
+    /// produced.
+    fn step(&mut self, now: u64, f: impl FnOnce(&mut dyn Automaton<M>, &mut Context<M>)) {
+        let mut ctx = Context::new(self.me, Time(now), self.timer_counter);
+        f(self.node.as_mut(), &mut ctx);
+        self.timer_counter = drain_context(
+            ctx,
+            self.me,
+            &self.net,
+            &self.wheel,
+            &mut self.cancelled,
+            self.tick,
+        );
+    }
+
+    /// Traces one arriving message and adds it to the step's batch — or
+    /// loses it, like the simulator's crashed-receiver drops.
+    fn admit(&mut self, now: u64, from: NodeId, msg: M) {
+        let (kind, crashed) = if self.crashed {
+            (TraceKind::Drop, 1)
+        } else {
+            (TraceKind::Deliver, 0)
+        };
+        self.obs.emit(
+            kind,
+            now,
+            self.me.0 as u64,
+            LANE_SYS,
+            from.0 as u64,
+            crashed,
+        );
+        if !self.crashed {
+            self.batch.push((from, msg));
+        }
+    }
+
+    fn crash(&mut self, now: u64, mode: CrashMode) {
+        let i = self.me.0;
+        self.crashed = true;
+        self.crash_mode = mode;
+        // Timers are volatile state: purge this node's pending wheel
+        // entries so no pre-crash timer fires after a restart.
+        let mut heap = self.wheel.heap.lock();
+        let drained = std::mem::take(&mut *heap);
+        let mut purged = Vec::new();
+        *heap = drained
+            .into_iter()
+            .filter(|r| {
+                if r.node == i {
+                    purged.push(r.token);
+                }
+                r.node != i
+            })
+            .collect();
+        drop(heap);
+        // Purged entries will never reach the wheel's pop-time check;
+        // drop their suppression markers too so the set stays bounded.
+        if !purged.is_empty() {
+            let mut wheel_cancelled = self.wheel.cancelled.lock();
+            for token in purged {
+                wheel_cancelled.remove(&token.0);
+            }
+        }
+        self.wheel.suppressed[i].lock().clear();
+        self.cancelled.clear();
+        self.obs
+            .emit(TraceKind::Crash, now, i as u64, LANE_SYS, mode as u64, 0);
+    }
+
+    fn restart(&mut self, now: u64) {
+        self.crashed = false;
+        let mut replayed = 0usize;
+        let mut amnesia = 0u64;
+        if self.crash_mode == CrashMode::Amnesia {
+            self.crash_mode = CrashMode::Retain;
+            replayed = self.node.restore_state();
+            amnesia = 1;
+        }
+        self.obs.emit(
+            TraceKind::Recover,
+            now,
+            self.me.0 as u64,
+            LANE_SYS,
+            replayed as u64,
+            amnesia,
+        );
     }
 }
 
@@ -1032,6 +1084,110 @@ mod tests {
             Duration::from_secs(5),
         );
         assert!(ok);
+        rt.shutdown();
+    }
+
+    /// Records its steps: a batch as its messages, a timer as `None`.
+    #[derive(Default)]
+    struct Steps(Vec<Option<Vec<u32>>>);
+
+    impl Automaton<u32> for Steps {
+        fn on_message(&mut self, _f: NodeId, msg: u32, _c: &mut Context<u32>) {
+            self.0.push(Some(vec![msg]));
+        }
+        fn on_messages(
+            &mut self,
+            batch: std::vec::Drain<'_, (NodeId, u32)>,
+            _c: &mut Context<u32>,
+        ) {
+            self.0.push(Some(batch.map(|(_, m)| m).collect()));
+        }
+        fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<u32>) {
+            self.0.push(None);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Parks node 0 inside a `Call` until the returned sender is
+    /// dropped, so a test can queue events behind it in a known order.
+    fn park(rt: &Runtime<u32>) -> std::sync::mpsc::Sender<()> {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        rt.invoke::<Steps>(NodeId(0), move |_n, _c| {
+            let _ = parked.recv();
+        });
+        release
+    }
+
+    fn steps_of(rt: &Runtime<u32>) -> Vec<Option<Vec<u32>>> {
+        rt.inspect::<Steps, _>(NodeId(0), |s| s.0.clone())
+    }
+
+    #[test]
+    fn messages_queued_behind_a_busy_node_are_one_step() {
+        let mut rt = RuntimeBuilder::new()
+            .node(Box::new(Steps::default()))
+            .start();
+        for round in [0, 10] {
+            let release = park(&rt);
+            for m in 1..=3 {
+                rt.send(NodeId(0), NodeId(0), round + m);
+            }
+            drop(release);
+        }
+        // `inspect` queues behind everything sent above.
+        assert_eq!(
+            steps_of(&rt),
+            [Some(vec![1, 2, 3]), Some(vec![11, 12, 13])],
+            "arrival order kept, buffer emptied between steps"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn timer_queued_between_two_messages_fires_between_them() {
+        let mut rt = RuntimeBuilder::new()
+            .node(Box::new(Steps::default()))
+            .start();
+        let release = park(&rt);
+        rt.send(NodeId(0), NodeId(0), 1);
+        rt.send(NodeId(0), NodeId(0), 2);
+        assert!(rt.senders[0].send(Event::Timer(TimerToken(7))).is_ok());
+        rt.send(NodeId(0), NodeId(0), 3);
+        drop(release);
+        assert_eq!(
+            steps_of(&rt),
+            [Some(vec![1, 2]), None, Some(vec![3])],
+            "a batch ends at the first event that is not a message"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn crash_queued_between_two_messages_loses_the_second() {
+        let rec = Arc::new(rqs_obs::FlightRecorder::new(64));
+        let mut rt = RuntimeBuilder::new()
+            .tracer(rec.clone())
+            .node(Box::new(Steps::default()))
+            .start();
+        let release = park(&rt);
+        rt.send(NodeId(0), NodeId(0), 1);
+        rt.crash_node(NodeId(0));
+        rt.send(NodeId(0), NodeId(0), 2);
+        drop(release);
+        assert_eq!(steps_of(&rt), [Some(vec![1])]);
+        let kinds: Vec<TraceKind> = rqs_obs::Tracer::snapshot(&*rec)
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [TraceKind::Deliver, TraceKind::Crash, TraceKind::Drop]
+        );
         rt.shutdown();
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Processes are deterministic I/O automata (paper §3.1): a step receives
 //! a set of messages, applies them to the current state, and emits output
-//! messages. We deliver one message (or timer) per step — a refinement of
-//! the paper's step that preserves all behaviours, since the paper permits
-//! `M` to be any subset of pending messages, including singletons.
+//! messages. A step here is one timer, or the messages queued for the node
+//! when the step began ([`Automaton::on_messages`]); the paper permits `M`
+//! to be any subset of pending messages, so a step over one message and a
+//! step over all of them are both its steps.
 
 use crate::time::Time;
 use core::any::Any;
@@ -49,6 +50,25 @@ pub struct TimerToken(pub u64);
 /// deterministic: identical inputs in identical order produce identical
 /// outputs, which is what makes the scripted indistinguishability
 /// executions of the paper reproducible.
+///
+/// # The step contract
+///
+/// A substrate hands a node its messages through
+/// [`on_messages`](Self::on_messages), one call per step:
+///
+/// - the batch is what was queued for the node when the step began, in
+///   arrival order — never reordered, never split by a size limit;
+/// - a batch never spans a non-message event: a timer, an external
+///   invocation, a crash or a restart queued between two messages ends
+///   the batch before it, so a crash still loses exactly the messages
+///   queued behind it;
+/// - everything the step puts into its [`Context`] leaves after the step
+///   returns — which is what lets a durable automaton make the whole
+///   batch's effects durable once, before any reply to any of it is sent.
+///
+/// A batch of one is a legal batch, and [`on_message`](Self::on_message)
+/// must be that case: an automaton that overrides `on_messages` routes
+/// both through one function.
 pub trait Automaton<M>: Any {
     /// Called once when the world starts (the paper's `Init` state is the
     /// state before this call).
@@ -56,6 +76,20 @@ pub trait Automaton<M>: Any {
 
     /// Delivers one message from `from`.
     fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<M>);
+
+    /// Delivers everything queued for this node, in arrival order, as one
+    /// step. The default handles the messages one by one, and the
+    /// substrates then treat the outputs of each as they would those of a
+    /// step of its own, so an automaton that does not override this
+    /// behaves exactly as under one message per step.
+    fn on_messages(&mut self, batch: std::vec::Drain<'_, (NodeId, M)>, ctx: &mut Context<M>) {
+        for (i, (from, msg)) in batch.enumerate() {
+            if i > 0 {
+                ctx.cut();
+            }
+            self.on_message(from, msg, ctx);
+        }
+    }
 
     /// Fires a timer previously set through [`Context::set_timer`].
     fn on_timer(&mut self, _timer: TimerToken, _ctx: &mut Context<M>) {}
@@ -113,6 +147,9 @@ pub struct Context<M> {
     pub(crate) timers: Vec<(u64, TimerToken)>,
     pub(crate) cancelled: Vec<TimerToken>,
     pub(crate) timer_counter: u64,
+    /// `(outbox, timers)` lengths at each boundary between two messages
+    /// the default [`Automaton::on_messages`] handled in this step.
+    pub(crate) cuts: Vec<(usize, usize)>,
 }
 
 impl<M> Context<M> {
@@ -127,7 +164,16 @@ impl<M> Context<M> {
             timers: Vec::new(),
             cancelled: Vec::new(),
             timer_counter,
+            cuts: Vec::new(),
         }
+    }
+
+    /// Marks the boundary between two messages handled one by one inside
+    /// one step: the simulator numbers the outputs before the cut ahead
+    /// of those after it, messages before timers on each side, as it
+    /// would for two steps.
+    fn cut(&mut self) {
+        self.cuts.push((self.outbox.len(), self.timers.len()));
     }
 
     /// Messages buffered by this step, in send order (test inspection).

@@ -19,6 +19,40 @@
 //! [`Scenario`] handed to [`SubstrateConfig`] compiles to a fate policy
 //! on the simulator and to an interposed message-filter thread plus a
 //! fault scheduler on the runtime.
+//!
+//! # The step over a batch
+//!
+//! Both executors hand a node its messages through
+//! [`Automaton::on_messages`]: one step over what was queued for the node
+//! when the step began (the contract is on the trait). The runtime's
+//! node thread takes what is already in its inbox up to the first event
+//! that is not a message; the simulator, in its default `(time,
+//! sequence)` order, takes the run of consecutive deliveries to one node
+//! at one time. Neither has a size limit or a setting: the batch is
+//! bounded by what the senders may have outstanding.
+//!
+//! Under a [`Scheduler`](crate::Scheduler) — the mode `rqs-check`
+//! explores — a step stays one event, and that search covers the
+//! batched executions too. Take any execution with a batch step over
+//! messages `m1..mk` at node `p`, and replace the step by `k` steps of
+//! one message each, in the same order, nothing else of `p`'s in
+//! between, the outputs of all `k` released after the last. An automaton
+//! on the default `on_messages` cannot tell the difference — that method
+//! *is* the loop — and one that overrides it must make `on_message` the
+//! batch-of-one case of the same function, so its state after the `k`
+//! steps is its state after the batch and the union of their outputs
+//! says the same things to the same nodes (the differential proptests
+//! of `rqs-kv` check exactly this). Releasing outputs late is a delay of
+//! messages, which every scheduler may impose. So every batched
+//! execution is a single-delivery execution whose crash points at `p`
+//! are restricted to "before `m1`" and "after `mk`": a subset of what
+//! the explorer branches over, never a new behaviour. The same holds on
+//! the durable side, where the `k` envelopes' writes share one log
+//! record: a crash leaves all of them durable or none, and none was
+//! acknowledged before the append — the single-delivery outcomes "crash
+//! before `m1`" and "crash after `mk`, acks still in flight". What the
+//! batch rules out is the outcomes in between, where a prefix is
+//! durable.
 
 use crate::node::{Automaton, Context, NodeId};
 use crate::scenario::{CrashMode, Scenario};

@@ -4,6 +4,10 @@
 //! Events (message deliveries, timer expirations, crashes) execute in
 //! `(time, sequence)` order, so executions are bit-for-bit reproducible —
 //! the property the paper's indistinguishability arguments rely on.
+//! In that order a run of consecutive deliveries to one node at one time
+//! is one step over the batch ([`Automaton::on_messages`]) — the
+//! simulator's picture of a node draining its inbox; under a
+//! [`Scheduler`] every step stays one event.
 
 use crate::network::{Envelope, Fate, FatePolicy};
 use crate::node::{Automaton, Context, NodeId, TimerToken};
@@ -12,6 +16,7 @@ use crate::sched::{fnv1a_fold, PendingEvent, PendingKind, SchedDecision, Schedul
 use crate::time::Time;
 use rqs_obs::{Obs, TraceKind, LANE_SYS};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Events in the queue.
@@ -147,6 +152,9 @@ pub struct World<M> {
     trace: Option<Vec<TraceEntry>>,
     trace_fmt: Option<fn(&M) -> String>,
     obs: Obs,
+    /// The batch of the delivery step being taken (empty between steps;
+    /// kept for its capacity).
+    batch: Vec<(NodeId, M)>,
 }
 
 impl<M: Clone + 'static> World<M> {
@@ -170,6 +178,7 @@ impl<M: Clone + 'static> World<M> {
             trace: None,
             trace_fmt: None,
             obs: Obs::nop(),
+            batch: Vec::new(),
         }
     }
 
@@ -449,10 +458,13 @@ impl<M: Clone + 'static> World<M> {
     /// Executes a single event; returns `false` when the queue is empty.
     ///
     /// Without a scheduler, events execute in deterministic
-    /// `(time, sequence)` order. With one (see [`World::set_scheduler`]),
-    /// the scheduler picks among all pending events and the clock only
-    /// moves forward (delivering a "late" event early keeps the current
-    /// time — the adversarial asynchronous semantics).
+    /// `(time, sequence)` order, and a delivery takes with it the
+    /// deliveries to the same node at the same time that follow it
+    /// directly in that order: one step over the batch. With a scheduler
+    /// (see [`World::set_scheduler`]), it picks among all pending events,
+    /// one per step, and the clock only moves forward (delivering a
+    /// "late" event early keeps the current time — the adversarial
+    /// asynchronous semantics).
     pub fn step(&mut self) -> bool {
         if self.scheduler.is_some() {
             return self.step_scheduled();
@@ -621,19 +633,13 @@ impl<M: Clone + 'static> World<M> {
                     self.log(format!("{from} → {to}: dropped (receiver crashed)"));
                     return;
                 }
-                self.stats.messages_delivered += 1;
-                self.obs.emit(
-                    TraceKind::Deliver,
-                    self.now.ticks(),
-                    to.0 as u64,
-                    LANE_SYS,
-                    from.0 as u64,
-                    0,
-                );
-                if let Some(fmt) = self.trace_fmt {
-                    self.log(format!("{from} → {to}: {}", fmt(&msg)));
+                self.admit(from, to, msg);
+                while let Some((from, msg)) = self.pop_delivery_to(to) {
+                    self.admit(from, to, msg);
                 }
-                self.step_node(to, |node, ctx| node.on_message(from, msg, ctx));
+                let mut batch = std::mem::take(&mut self.batch);
+                self.step_node(to, |node, ctx| node.on_messages(batch.drain(..), ctx));
+                self.batch = batch;
             }
             Event::Timer { node, token } => {
                 if self.crashed[node.0] || self.cancelled_timers.remove(&(node.0, token.0)) {
@@ -644,6 +650,43 @@ impl<M: Clone + 'static> World<M> {
                 self.step_node(node, |node, ctx| node.on_timer(token, ctx));
             }
         }
+    }
+
+    /// Takes the next event in `(time, sequence)` order if it is a
+    /// delivery to `to` at the current time (never under a scheduler,
+    /// whose step is one event). `to` is live and nothing stands between
+    /// the two deliveries, so it is live for this one too.
+    fn pop_delivery_to(&mut self, to: NodeId) -> Option<(NodeId, M)> {
+        if self.scheduler.is_some() {
+            return None;
+        }
+        let next = self.queue.peek_mut()?;
+        if next.0.at != self.now || !matches!(next.0.event, Event::Deliver { to: t, .. } if t == to)
+        {
+            return None;
+        }
+        match PeekMut::pop(next).0.event {
+            Event::Deliver { from, msg, .. } => Some((from, msg)),
+            _ => unreachable!("matched a delivery above"),
+        }
+    }
+
+    /// Counts and traces one delivery to the live node `to` and adds it
+    /// to the step's batch.
+    fn admit(&mut self, from: NodeId, to: NodeId, msg: M) {
+        self.stats.messages_delivered += 1;
+        self.obs.emit(
+            TraceKind::Deliver,
+            self.now.ticks(),
+            to.0 as u64,
+            LANE_SYS,
+            from.0 as u64,
+            0,
+        );
+        if let Some(fmt) = self.trace_fmt {
+            self.log(format!("{from} → {to}: {}", fmt(&msg)));
+        }
+        self.batch.push((from, msg));
     }
 
     /// Runs until the queue is empty or `max_steps` events executed;
@@ -771,18 +814,28 @@ impl<M: Clone + 'static> World<M> {
         f(node.as_mut(), &mut ctx);
         self.timer_counter = ctx.timer_counter;
         self.nodes[id.0] = Some(node);
-        // Route outputs.
-        for (to, msg) in ctx.outbox {
-            self.route(Envelope {
-                from: id,
-                to,
-                msg,
-                sent_at: self.now,
-            });
-        }
-        for (delay, token) in ctx.timers {
-            let at = self.now + delay.max(1);
-            self.push(at, Event::Timer { node: id, token });
+        // Route outputs: messages, then timers. A step the default
+        // `on_messages` took over several messages is cut between them,
+        // and each part is routed like a step of its own, so sequence
+        // numbers and fate-policy calls come out as under one message
+        // per step.
+        let mut outbox = ctx.outbox.into_iter();
+        let mut timers = ctx.timers.into_iter();
+        let mut routed = (0, 0);
+        for cut in ctx.cuts.into_iter().chain([(usize::MAX, usize::MAX)]) {
+            for (to, msg) in outbox.by_ref().take(cut.0 - routed.0) {
+                self.route(Envelope {
+                    from: id,
+                    to,
+                    msg,
+                    sent_at: self.now,
+                });
+            }
+            for (delay, token) in timers.by_ref().take(cut.1 - routed.1) {
+                let at = self.now + delay.max(1);
+                self.push(at, Event::Timer { node: id, token });
+            }
+            routed = cut;
         }
         for token in ctx.cancelled {
             self.cancelled_timers.insert((id.0, token.0));
@@ -1311,6 +1364,134 @@ mod tests {
             (w.now(), w.stats().messages_delivered, trace)
         };
         assert_eq!(run_default(), run_scheduled());
+    }
+
+    /// Records its steps: a batch as its messages, a timer as `None`.
+    /// Arms a 1-tick timer on an odd message, forwards an even one.
+    #[derive(Default)]
+    struct Steps {
+        steps: Vec<Option<Vec<u32>>>,
+        forward_to: Option<NodeId>,
+    }
+
+    impl Automaton<u32> for Steps {
+        fn on_message(&mut self, _f: NodeId, msg: u32, ctx: &mut Context<u32>) {
+            match self.forward_to {
+                Some(_) if msg % 2 == 1 => {
+                    ctx.set_timer(1);
+                }
+                Some(to) => ctx.send(to, msg),
+                None => {}
+            }
+        }
+        fn on_messages(
+            &mut self,
+            batch: std::vec::Drain<'_, (NodeId, u32)>,
+            ctx: &mut Context<u32>,
+        ) {
+            let batch: Vec<(NodeId, u32)> = batch.collect();
+            self.steps
+                .push(Some(batch.iter().map(|(_, m)| *m).collect()));
+            for (from, msg) in batch {
+                self.on_message(from, msg, ctx);
+            }
+        }
+        fn on_timer(&mut self, _t: TimerToken, _ctx: &mut Context<u32>) {
+            self.steps.push(None);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn consecutive_same_time_deliveries_to_one_node_are_one_step() {
+        let mut w: World<u32> = World::new(NetworkScript::synchronous());
+        let a = w.add_node(Box::new(Steps::default()));
+        let b = w.add_node(Box::new(Steps::default()));
+        // Three in a row for `a`, then a delivery to `b` and one of `b`'s
+        // timers, each followed by one more for `a`, all at one tick:
+        // only the unbroken run shares a step.
+        for m in [1, 2, 3] {
+            w.post(b, a, m);
+        }
+        w.post(a, b, 9);
+        w.post(b, a, 4);
+        w.invoke::<Steps>(b, |_n, ctx| {
+            ctx.set_timer(1);
+        });
+        w.post(b, a, 5);
+        let steps = w.run_to_quiescence();
+        let a = &w.node_as::<Steps>(a).steps;
+        assert_eq!(*a, [Some(vec![1, 2, 3]), Some(vec![4]), Some(vec![5])]);
+        assert_eq!(steps, 5, "one step per run, one per timer");
+        assert_eq!(w.stats().messages_delivered, 6);
+
+        // Under a scheduler a step is one event.
+        let mut w: World<u32> = World::new(NetworkScript::synchronous());
+        let a = w.add_node(Box::new(Steps::default()));
+        w.set_scheduler(Box::new(Scripted {
+            script: vec![],
+            pos: 0,
+            seen: vec![],
+        }));
+        w.post(a, a, 1);
+        w.post(a, a, 2);
+        w.run_to_quiescence();
+        assert_eq!(w.node_as::<Steps>(a).steps, [Some(vec![1]), Some(vec![2])]);
+    }
+
+    /// Hands its messages to the default `on_messages`.
+    struct OneByOne(Steps);
+
+    impl Automaton<u32> for OneByOne {
+        fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Context<u32>) {
+            self.0.on_message(from, msg, ctx);
+        }
+        fn on_timer(&mut self, t: TimerToken, ctx: &mut Context<u32>) {
+            self.0.on_timer(t, ctx);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn default_batch_step_runs_like_one_message_per_step() {
+        // One step of `a` takes [1, 2, 3, 4] on the default method: 1
+        // and 3 arm a timer, 2 and 4 are forwarded. One message per step
+        // numbers timer 1 ahead of forward 2 ahead of timer 3; the batch
+        // step must too, or the two runs order tick 2 differently.
+        let run = |scheduled: bool| {
+            let mut w: World<u32> = World::new(NetworkScript::synchronous());
+            let a = w.add_node(Box::new(OneByOne(Steps::default())));
+            let b = w.add_node(Box::new(Steps::default()));
+            w.invoke::<OneByOne>(a, move |n, _| n.0.forward_to = Some(b));
+            w.enable_trace(|m| format!("{m}"));
+            if scheduled {
+                w.set_scheduler(Box::new(Scripted {
+                    script: vec![],
+                    pos: 0,
+                    seen: vec![],
+                }));
+            }
+            for m in 1..=4 {
+                w.post(b, a, m);
+            }
+            let steps = w.run_to_quiescence();
+            let trace: Vec<String> = w.trace().iter().map(|e| format!("{e:?}")).collect();
+            (steps, trace)
+        };
+        let (batched_steps, batched) = run(false);
+        let (single_steps, single) = run(true);
+        assert_eq!(batched, single);
+        assert!(batched_steps < single_steps, "the batch was one step");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::any::Any;
 ///
 /// The step body is [`Server::handle`], which writes its delta into a
 /// group the caller supplies and commits: a multi-object server runs many
-/// `Server`s per envelope against one group and pays one log record for
+/// `Server`s per step against one group and pays one log record for
 /// the lot.
 #[derive(Clone, Debug, Default)]
 pub struct Server {

@@ -7,8 +7,9 @@
 //!   changed history, carrying one [`StorageDelta`] for every effective
 //!   `wr⟨ts, v, QC'2, rnd⟩` the step handled. A single-register server's
 //!   step is one message, so its groups hold one delta; a multi-object
-//!   server's step is one envelope, so a batch of `B` writes is one
-//!   record and — under the write-ahead config — one sync point. The
+//!   server's step is every envelope it found queued, so all their
+//!   writes, from however many clients, are one record and — under the
+//!   write-ahead config — one sync point. The
 //!   group is appended **before** any `wr_ack` of the step leaves the
 //!   server, so every acknowledged write survives an amnesia crash. The
 //!   store frames and checksums the record as a unit: a crash keeps a
