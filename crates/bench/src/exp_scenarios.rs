@@ -208,8 +208,8 @@ fn report_inner(seed: u64, quick: bool, threaded: bool, tracer: ObsHandle) -> Re
     let params = ScenarioParams::for_mode(quick);
     let mut r = Report::new("E16 (scenario engine × substrates)");
     r.note(format!(
-        "one declarative Scenario per row, compiled to a fate policy (sim) and an \
-         interposer thread (threaded); kv: {} objects / {} clients / {} ops, seed {seed}; \
+        "one declarative Scenario per row, compiled to a fate policy (sim) and to the \
+         send path plus clock (threaded); kv: {} objects / {} clients / {} ops, seed {seed}; \
          storage: {} write+read pairs over crash_fast(5,1)",
         params.objects, params.clients, params.ops, params.storage_ops
     ));

@@ -1,9 +1,10 @@
 //! Offline stand-in for `parking_lot`, implemented over `std::sync`.
 //!
 //! Exposes the poison-free API surface the runtime uses: [`Mutex::lock`]
-//! returning a guard directly, and [`Condvar::wait_until`] /
-//! [`Condvar::wait_for`] taking `&mut MutexGuard`. Poisoned std locks are
-//! transparently recovered (parking_lot has no poisoning).
+//! returning a guard directly, and [`Condvar::wait`] /
+//! [`Condvar::wait_until`] / [`Condvar::wait_for`] taking
+//! `&mut MutexGuard`. Poisoned std locks are transparently recovered
+//! (parking_lot has no poisoning).
 
 #![forbid(unsafe_code)]
 
@@ -79,6 +80,12 @@ impl Condvar {
         self.0.notify_all();
     }
 
+    /// Blocks until notified.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let inner = guard.inner.take().expect("guard present outside wait");
+        guard.inner = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
+    }
+
     /// Blocks until notified or `timeout` has elapsed.
     pub fn wait_for<T>(
         &self,
@@ -140,7 +147,7 @@ mod tests {
             let (m, cv) = &*p2;
             let mut g = m.lock();
             while !*g {
-                cv.wait_for(&mut g, Duration::from_secs(5));
+                cv.wait(&mut g);
             }
         });
         {

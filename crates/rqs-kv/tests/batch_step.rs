@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_kv::{KvBatch, KvClient, KvItem, KvOp, KvServer, Lane, ObjectId};
-use rqs_runtime::RuntimeBuilder;
-use rqs_sim::{Automaton, Context, NetworkScript, NodeId, Time, World};
+use rqs_runtime::Runtime;
+use rqs_sim::{Automaton, Context, NetworkScript, NodeId, Substrate, SubstrateConfig, Time, World};
 use rqs_storage::{wal, OpKind, StorageMsg, Value};
 use rqs_store::StoreHandle;
 use std::any::Any;
@@ -372,12 +372,13 @@ fn sim_same_tick_envelopes_share_one_append_unless_something_comes_between() {
 #[test]
 fn threaded_envelopes_queued_behind_a_busy_server_share_one_sync() {
     let store = StoreHandle::mem();
-    let mut rt = RuntimeBuilder::new()
-        .tick(Duration::from_millis(1))
-        .node(Box::new(KvServer::with_store(store.clone())))
-        .node(Box::new(Sink::default()))
-        .node(Box::new(Sink::default()))
-        .start();
+    let nodes: Vec<Box<dyn Automaton<KvBatch> + Send>> = vec![
+        Box::new(KvServer::with_store(store.clone())),
+        Box::new(Sink::default()),
+        Box::new(Sink::default()),
+    ];
+    let mut rt: Runtime<KvBatch> =
+        Substrate::build(SubstrateConfig::new(nodes).tick(Duration::from_millis(1)));
     // Keep the server busy (as a slow sync would) until eight envelopes
     // from two senders are queued behind it.
     let (release, busy) = std::sync::mpsc::channel::<()>();

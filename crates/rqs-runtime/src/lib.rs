@@ -9,8 +9,9 @@
 //! [`Runtime`] implements [`rqs_sim::Substrate`], so the substrate-generic
 //! deployment drivers (`StorageDeployment`, `ConsensusDeployment`,
 //! `KvDeployment`) run here unchanged, including declarative
-//! [`rqs_sim::Scenario`] fault injection (compiled to an interposed
-//! message-filter thread plus a fault scheduler).
+//! [`rqs_sim::Scenario`] fault injection (link rules are decided in the
+//! runtime's send path; delayed messages and crash plans ride its one
+//! clock thread).
 //!
 //! - [`runtime`] — the generic node-per-thread executor;
 //! - [`storage`] — [`RtStorage`], a threaded atomic-storage deployment;
@@ -40,6 +41,6 @@ pub mod sidecar;
 pub mod storage;
 
 pub use consensus::RtConsensus;
-pub use runtime::{Runtime, RuntimeBuilder, DEFAULT_TICK};
+pub use runtime::{Runtime, DEFAULT_TICK};
 pub use sidecar::{CheckerSidecar, SidecarReport};
 pub use storage::RtStorage;

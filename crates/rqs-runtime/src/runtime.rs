@@ -2,29 +2,45 @@
 //! that run in the deterministic simulator.
 //!
 //! Every node runs on its own OS thread with a crossbeam channel inbox;
-//! messages travel between threads, and protocol timers (in simulated
-//! ticks) are mapped to wall-clock durations by a configurable tick
-//! length. A node that wakes on a message takes the messages already in
-//! its inbox with it, as one step ([`Automaton::on_messages`]). This is
-//! the deployment used by the wall-clock benchmarks (experiment E11):
-//! same protocol code, real channels and real time.
+//! messages travel between threads, and protocol ticks are mapped to
+//! wall-clock durations by a configurable tick length. A node that wakes
+//! on a message takes the messages already in its inbox with it, as one
+//! step ([`Automaton::on_messages`]). This is the deployment used by the
+//! wall-clock benchmarks (experiment E11): same protocol code, real
+//! channels and real time.
 //!
 //! The runtime implements [`Substrate`], so every deployment driver
-//! written against that trait runs here unchanged. Fault scenarios
-//! ([`Scenario`]) compile to an **interposed message-filter thread**
-//! (drops, delays, duplication, partition-and-heal — the wall-clock
-//! analogue of the simulator's fate policy) plus a **fault scheduler
-//! thread** that crashes and restarts nodes at their scheduled ticks.
+//! written against that trait runs here unchanged.
+//!
+//! # One clock, one choke point
+//!
+//! Like the simulator's `(time, sequence)` queue, the runtime has one
+//! notion of "later": the **agenda**, a heap of `(due, seq, node, event)`
+//! entries served by the single `rt-clock` thread, which puts an entry's
+//! event into its node's inbox when the entry comes due. An armed timer
+//! is a timer entry at `now + delay`; a message a link rule delays, holds
+//! or duplicates is a message entry at its due instant; a [`Scenario`]'s
+//! crash plan is crash and restart entries pushed at start. Entries due
+//! at the same instant fire in insertion order.
+//!
+//! A socket substrate can rely on three facts:
+//!
+//! 1. every outbound message — a node's, or one injected through
+//!    [`Runtime::send`] — passes `NetOut::send` exactly once;
+//! 2. its fate (`ScenarioNet::decide`: deliver, delay, hold, duplicate
+//!    or drop — the wall-clock analogue of the simulator's fate policy)
+//!    is decided there, on the sender's thread, at the send tick;
+//! 3. everything that happens later than the step that caused it is an
+//!    agenda entry.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
-use rqs_obs::{NopTracer, Obs, ObsHandle, TraceKind, LANE_SYS};
+use rqs_obs::{Obs, TraceKind, LANE_SYS};
 use rqs_sim::{
     Automaton, Context, CrashMode, LinkDecision, NodeId, Scenario, ScenarioNet, Substrate,
-    SubstrateConfig, SubstrateStats, Time, TimerToken, DEFAULT_OP_TIMEOUT,
+    SubstrateConfig, SubstrateStats, Time, TimerToken,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,411 +76,208 @@ enum Event<M> {
     Shutdown,
 }
 
-struct TimerReq {
+/// One agenda entry: `event` goes into `node`'s inbox at `due`.
+struct Entry<M> {
     due: Instant,
+    /// Insertion sequence: entries due at the same instant fire in the
+    /// order they were scheduled.
+    seq: u64,
     node: usize,
-    token: TimerToken,
+    event: Event<M>,
 }
 
-impl PartialEq for TimerReq {
+impl<M> PartialEq for Entry<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
+        (self.due, self.seq) == (other.due, other.seq)
     }
 }
-impl Eq for TimerReq {}
-impl PartialOrd for TimerReq {
+impl<M> Eq for Entry<M> {}
+impl<M> PartialOrd for Entry<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for TimerReq {
+impl<M> Ord for Entry<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: earliest due first in the max-heap.
-        other.due.cmp(&self.due)
+        // Reversed: the earliest `(due, seq)` is the max-heap's top.
+        (other.due, other.seq).cmp(&(self.due, self.seq))
     }
 }
 
-struct TimerWheel {
-    heap: Mutex<BinaryHeap<TimerReq>>,
-    cv: Condvar,
-    shutdown: Mutex<bool>,
-    /// Tokens cancelled after arming: the wheel drops their entries at
+struct Agenda<M> {
+    heap: BinaryHeap<Entry<M>>,
+    next_seq: u64,
+    /// Tokens cancelled after arming: the clock drops their entries at
     /// pop time instead of waking the owning node just to swallow the
     /// firing. Most protocol timers (op timeouts, retry watchdogs) are
     /// cancelled on completion, so on the hot path this suppression
     /// saves one cross-thread event per armed timer.
-    cancelled: Mutex<std::collections::HashSet<u64>>,
-    /// Per-node acks for wheel-side suppression: when the wheel drops a
-    /// cancelled entry it records the token here, and the owner drains
-    /// the list on its next `drain_context` to garbage-collect its own
+    cancelled: HashSet<u64>,
+    shutdown: bool,
+}
+
+impl<M> Agenda<M> {
+    /// Adds an entry; returns whether it is now the earliest, i.e.
+    /// whether the clock thread sleeps towards the wrong instant.
+    fn push(&mut self, due: Instant, node: usize, event: Event<M>) -> bool {
+        let earliest = self.heap.peek().is_none_or(|top| due < top.due);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry {
+            due,
+            seq,
+            node,
+            event,
+        });
+        earliest
+    }
+}
+
+/// The runtime's one notion of "later": the agenda and the thread that
+/// serves it.
+struct Clock<M> {
+    agenda: Mutex<Agenda<M>>,
+    wake: Condvar,
+    /// Per-node acks for clock-side suppression: when the clock drops a
+    /// cancelled timer entry it records the token here, and the owner
+    /// drains the list after its next step to garbage-collect its own
     /// swallow list. A cancellation that loses the race (the firing was
     /// already in flight) is still swallowed node-locally.
     suppressed: Vec<Mutex<Vec<TimerToken>>>,
 }
 
-/// Message counters shared between node threads and the runtime handle.
-#[derive(Default)]
-struct Counters {
-    envelopes: AtomicU64,
-    items: AtomicU64,
+impl<M> Clock<M> {
+    fn schedule(&self, due: Instant, node: usize, event: Event<M>) {
+        let earliest = self.agenda.lock().push(due, node, event);
+        if earliest {
+            self.wake.notify_one();
+        }
+    }
+
+    /// The `rt-clock` thread: moves due entries into their nodes'
+    /// inboxes, in `(due, seq)` order, until shutdown.
+    fn run(&self, inboxes: &[Sender<Event<M>>]) {
+        let mut due = Vec::new();
+        let mut agenda = self.agenda.lock();
+        while !agenda.shutdown {
+            let now = Instant::now();
+            while agenda.heap.peek().is_some_and(|top| top.due <= now) {
+                let entry = agenda.heap.pop().expect("peeked");
+                match entry.event {
+                    // Cancelled before it came due: drop the firing here
+                    // and ack the owner so it can forget the token.
+                    Event::Timer(token) if agenda.cancelled.remove(&token.0) => {
+                        self.suppressed[entry.node].lock().push(token);
+                    }
+                    _ => due.push(entry),
+                }
+            }
+            if !due.is_empty() {
+                // Fill the inboxes with the agenda unlocked: a send may
+                // have to wake the receiving thread.
+                drop(agenda);
+                for entry in due.drain(..) {
+                    if let Some(inbox) = inboxes.get(entry.node) {
+                        let _ = inbox.send(entry.event);
+                    }
+                }
+                agenda = self.agenda.lock();
+            } else if let Some(next) = agenda.heap.peek().map(|top| top.due) {
+                self.wake.wait_until(&mut agenda, next);
+            } else {
+                self.wake.wait(&mut agenda);
+            }
+        }
+    }
 }
 
-/// The outbound network path every node send goes through: counts
-/// envelopes/items, then either hands the message to the interposer
-/// thread (when a scenario shapes the links) or delivers it directly
-/// into the destination inbox.
+/// The outbound network path — the one place a message's fate is
+/// decided. Every send counts its envelope and items, asks the scenario's
+/// link schedule what happens to it, and then delivers it into the
+/// destination inbox, schedules it on the clock, does both (a
+/// duplicate), or drops it.
 struct NetOut<M> {
-    senders: Vec<Sender<Event<M>>>,
-    interposer: Option<Sender<Outbound<M>>>,
-    counters: Counters,
+    inboxes: Vec<Sender<Event<M>>>,
+    clock: Clock<M>,
+    /// `None` when the scenario has no link rules: nothing to decide,
+    /// nothing to lock.
+    links: Option<Mutex<ScenarioNet>>,
+    envelopes: AtomicU64,
+    items: AtomicU64,
     sizer: fn(&M) -> u64,
+    obs: Obs,
     started: Instant,
     tick: Duration,
 }
 
-impl<M> NetOut<M> {
+impl<M: Clone> NetOut<M> {
     fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.counters.envelopes.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .items
-            .fetch_add((self.sizer)(&msg), Ordering::Relaxed);
-        if let Some(tx) = &self.interposer {
-            // Stamp the send tick here: windowed link rules must key on
-            // when the message was sent (the simulator's `env.sent_at`),
-            // not on when the interposer dequeues it.
-            let sent_tick = started_ticks(self.started, self.tick);
-            let _ = tx.send(Outbound {
-                from,
-                to,
-                msg,
-                sent_tick,
-            });
-        } else if let Some(tx) = self.senders.get(to.0) {
-            let _ = tx.send(Event::Msg { from, msg });
-        }
-    }
-}
-
-/// A message travelling through the interposer.
-struct Outbound<M> {
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-    sent_tick: u64,
-}
-
-struct Delayed<M> {
-    due: Instant,
-    seq: u64,
-    out: Outbound<M>,
-}
-
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// Shutdown latch for the helper threads (interposer, fault scheduler).
-struct Latch {
-    closed: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            closed: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn close(&self) {
-        *self.closed.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Waits until the latch closes or `deadline` passes; returns `true`
-    /// iff the latch closed.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut guard = self.closed.lock();
-        while !*guard {
-            if Instant::now() >= deadline {
-                return false;
+        self.envelopes.fetch_add(1, Ordering::Relaxed);
+        self.items.fetch_add((self.sizer)(&msg), Ordering::Relaxed);
+        let Some(links) = &self.links else {
+            return self.deliver(from, to, msg);
+        };
+        // Windowed link rules key on the send tick (the simulator's
+        // `env.sent_at`), and a delay is timed from this instant.
+        let sent_tick = self.now_ticks();
+        let decision = links.lock().decide(from, to, sent_tick);
+        let later = |due: Instant, msg: M| self.clock.schedule(due, to.0, Event::Msg { from, msg });
+        match decision {
+            LinkDecision::Deliver { extra: 0 } => self.deliver(from, to, msg),
+            LinkDecision::Deliver { extra } => later(Instant::now() + self.wall(extra), msg),
+            LinkDecision::DeliverAtTick(t) => later(self.instant_of(t), msg),
+            LinkDecision::Drop => {
+                self.obs.emit(
+                    TraceKind::Drop,
+                    sent_tick,
+                    to.0 as u64,
+                    LANE_SYS,
+                    from.0 as u64,
+                    0,
+                );
             }
-            self.cv.wait_until(&mut guard, deadline);
+            LinkDecision::Duplicate { lag } => {
+                self.deliver(from, to, msg.clone());
+                later(Instant::now() + self.wall(lag.max(1)), msg);
+            }
         }
-        true
+    }
+
+    fn deliver(&self, from: NodeId, to: NodeId, msg: M) {
+        if let Some(inbox) = self.inboxes.get(to.0) {
+            let _ = inbox.send(Event::Msg { from, msg });
+        }
+    }
+}
+
+impl<M> NetOut<M> {
+    fn now_ticks(&self) -> u64 {
+        (self.started.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64
+    }
+
+    /// The wall-clock instant at which tick `t` begins.
+    fn instant_of(&self, t: u64) -> Instant {
+        self.started + self.wall(t)
+    }
+
+    /// `ticks` as wall-clock time, without the u32 truncation of
+    /// `Duration * u32` (far-future scenario ticks saturate at ~584 years
+    /// instead of silently wrapping to "almost now").
+    fn wall(&self, ticks: u64) -> Duration {
+        Duration::from_nanos((self.tick.as_nanos() as u64).saturating_mul(ticks))
     }
 }
 
 /// A running threaded deployment.
 ///
-/// Build with [`RuntimeBuilder`] (or generically through
-/// [`Substrate::build`]); interact through [`Runtime::send`],
-/// [`Runtime::invoke`] and [`Runtime::inspect`]; shut down with
-/// [`Runtime::shutdown`] (also runs on drop).
+/// Build through [`Substrate::build`]; interact through
+/// [`Runtime::send`], [`Runtime::invoke`] and [`Runtime::inspect`]; shut
+/// down with [`Runtime::shutdown`] (also runs on drop).
 pub struct Runtime<M: Send + 'static> {
-    senders: Vec<Sender<Event<M>>>,
-    handles: Vec<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
-    wheel: Arc<TimerWheel>,
-    net: Option<Arc<NetOut<M>>>,
-    interposer_thread: Option<JoinHandle<()>>,
-    fault_thread: Option<JoinHandle<()>>,
-    latch: Arc<Latch>,
-    started: Instant,
-    tick: Duration,
+    net: Arc<NetOut<M>>,
+    node_threads: Vec<JoinHandle<()>>,
+    clock_thread: Option<JoinHandle<()>>,
     op_timeout: Duration,
-}
-
-/// Builder collecting the node automatons and the deployment shape.
-pub struct RuntimeBuilder<M: Send + 'static> {
-    nodes: Vec<Box<dyn Automaton<M> + Send>>,
-    tick: Duration,
-    op_timeout: Duration,
-    scenario: Scenario,
-    sizer: fn(&M) -> u64,
-    tracer: ObsHandle,
-}
-
-impl<M: Send + Clone + 'static> Default for RuntimeBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M: Send + Clone + 'static> RuntimeBuilder<M> {
-    /// Empty builder with the default tick.
-    pub fn new() -> Self {
-        RuntimeBuilder {
-            nodes: Vec::new(),
-            tick: DEFAULT_TICK,
-            op_timeout: DEFAULT_OP_TIMEOUT,
-            scenario: Scenario::default(),
-            sizer: |_| 1,
-            tracer: Arc::new(NopTracer),
-        }
-    }
-
-    /// Overrides the wall-clock duration of one protocol tick.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Overrides the [`Runtime::wait_for`] timeout used by generic
-    /// substrate awaits.
-    pub fn op_timeout(mut self, timeout: Duration) -> Self {
-        self.op_timeout = timeout;
-        self
-    }
-
-    /// Installs a fault scenario: link rules run in an interposer thread
-    /// between the node inboxes; crash plans run on a fault scheduler.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
-    /// Installs a payload sizer for the message statistics.
-    pub fn sizer(mut self, sizer: fn(&M) -> u64) -> Self {
-        self.sizer = sizer;
-        self
-    }
-
-    /// Installs a structured-trace sink: node threads emit
-    /// deliver/drop/crash/recover events into it (wall-clock analogue of
-    /// the simulator's world-level tracing).
-    pub fn tracer(mut self, tracer: ObsHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Adds a node; ids are assigned densely from 0 (matching the
-    /// simulator convention).
-    pub fn node(mut self, node: Box<dyn Automaton<M> + Send>) -> Self {
-        self.nodes.push(node);
-        self
-    }
-
-    /// Spawns all node threads, the timer wheel, and (when the scenario
-    /// calls for them) the interposer and fault scheduler threads.
-    pub fn start(self) -> Runtime<M> {
-        let started = Instant::now();
-        let tick = self.tick;
-        let n = self.nodes.len();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Event<M>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let wheel = Arc::new(TimerWheel {
-            heap: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            shutdown: Mutex::new(false),
-            cancelled: Mutex::new(std::collections::HashSet::new()),
-            suppressed: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        });
-        let latch = Latch::new();
-
-        // Interposer: the wall-clock compilation of the scenario's link
-        // rules. Every node send is routed through it; it decides each
-        // message's fate with the same ScenarioNet core the simulator's
-        // fate policy uses, mapping tick delays onto wall-clock instants.
-        let (interposer_tx, interposer_thread) = if self.scenario.links.is_empty() {
-            (None, None)
-        } else {
-            let (tx, rx) = unbounded::<Outbound<M>>();
-            let net = self.scenario.network();
-            let senders = senders.clone();
-            let obs = Obs::new(self.tracer.clone(), 0);
-            let handle = std::thread::Builder::new()
-                .name("rt-interposer".into())
-                .spawn(move || run_interposer(rx, senders, net, started, tick, obs))
-                .expect("spawn interposer thread");
-            (Some(tx), Some(handle))
-        };
-
-        // Fault scheduler: crashes and restarts nodes at their scheduled
-        // ticks, mapped to wall-clock via the tick length.
-        let fault_thread = if self.scenario.crashes.is_empty() {
-            None
-        } else {
-            let mut plan: Vec<(u64, usize, bool, CrashMode)> = Vec::new();
-            for c in &self.scenario.crashes {
-                plan.push((c.at, c.node, false, c.crash_mode));
-                if let Some(r) = c.restart_at {
-                    plan.push((r, c.node, true, c.crash_mode));
-                }
-            }
-            plan.sort_unstable_by_key(|&(at, node, is_restart, _)| (at, node, is_restart));
-            let senders = senders.clone();
-            let latch = latch.clone();
-            let fault_handle = std::thread::Builder::new()
-                .name("rt-faults".into())
-                .spawn(move || {
-                    for (at, node, is_restart, mode) in plan {
-                        let due = started + ticks_to_wall(tick, at);
-                        if latch.wait_until(due) {
-                            return; // shutdown
-                        }
-                        let event = if is_restart {
-                            Event::Restart
-                        } else {
-                            Event::Crash(mode)
-                        };
-                        if let Some(tx) = senders.get(node) {
-                            let _ = tx.send(event);
-                        }
-                    }
-                })
-                .expect("spawn fault scheduler thread");
-            Some(fault_handle)
-        };
-
-        let net = Arc::new(NetOut {
-            senders: senders.clone(),
-            interposer: interposer_tx,
-            counters: Counters::default(),
-            sizer: self.sizer,
-            started,
-            tick,
-        });
-
-        // Timer thread: fires due timers into node inboxes.
-        let timer_thread = {
-            let wheel = wheel.clone();
-            let senders = senders.clone();
-            spawn_named("rt-timer-wheel", move || loop {
-                let mut fire: Vec<(usize, TimerToken)> = Vec::new();
-                {
-                    let mut heap = wheel.heap.lock();
-                    loop {
-                        if *wheel.shutdown.lock() {
-                            return;
-                        }
-                        let now = Instant::now();
-                        match heap.peek() {
-                            Some(req) if req.due <= now => {
-                                let req = heap.pop().expect("peeked");
-                                fire.push((req.node, req.token));
-                            }
-                            Some(req) => {
-                                let due = req.due;
-                                wheel.cv.wait_until(&mut heap, due);
-                            }
-                            None => {
-                                wheel.cv.wait_for(&mut heap, Duration::from_millis(50));
-                            }
-                        }
-                        if !fire.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                let mut cancelled = wheel.cancelled.lock();
-                for (node, token) in fire {
-                    if cancelled.remove(&token.0) {
-                        // Cancelled before it came due: drop the firing
-                        // here and ack the owner so it can forget the
-                        // token.
-                        wheel.suppressed[node].lock().push(token);
-                    } else {
-                        let _ = senders[node].send(Event::Timer(token));
-                    }
-                }
-            })
-        };
-
-        // Node threads.
-        let mut handles = Vec::with_capacity(n);
-        let obs = Obs::new(self.tracer.clone(), 0);
-        for (i, (node, rx)) in self.nodes.into_iter().zip(receivers).enumerate() {
-            let host = NodeHost {
-                me: NodeId(i),
-                node,
-                net: net.clone(),
-                wheel: wheel.clone(),
-                obs: obs.clone(),
-                started,
-                tick,
-                timer_counter: (i as u64) << 32,
-                cancelled: Vec::new(),
-                crashed: false,
-                crash_mode: CrashMode::Retain,
-                batch: Vec::new(),
-            };
-            handles.push(spawn_named(&format!("rt-node-{i}"), move || host.run(rx)));
-        }
-
-        Runtime {
-            senders,
-            handles,
-            timer_thread: Some(timer_thread),
-            wheel,
-            net: Some(net),
-            interposer_thread,
-            fault_thread,
-            latch,
-            started,
-            tick,
-            op_timeout: self.op_timeout,
-        }
-    }
 }
 
 /// One node thread: the automaton and what hosting it takes.
@@ -472,10 +285,6 @@ struct NodeHost<M: Send + 'static> {
     me: NodeId,
     node: Box<dyn Automaton<M> + Send>,
     net: Arc<NetOut<M>>,
-    wheel: Arc<TimerWheel>,
-    obs: Obs,
-    started: Instant,
-    tick: Duration,
     timer_counter: u64,
     /// Timers cancelled while their firing may already be in the inbox.
     cancelled: Vec<TimerToken>,
@@ -497,7 +306,7 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
         self.step(0, |node, ctx| node.on_start(ctx));
         let mut held = None;
         while let Some(event) = held.take().or_else(|| rx.recv().ok()) {
-            let now = started_ticks(self.started, self.tick);
+            let now = self.net.now_ticks();
             match event {
                 Event::Shutdown => return,
                 Event::Crash(mode) => self.crash(now, mode),
@@ -536,19 +345,42 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
         }
     }
 
-    /// Runs one step of the automaton at tick `now` and sends what it
-    /// produced.
+    /// Runs one step of the automaton at tick `now`, sends what it
+    /// produced and puts its timers on the agenda.
     fn step(&mut self, now: u64, f: impl FnOnce(&mut dyn Automaton<M>, &mut Context<M>)) {
         let mut ctx = Context::new(self.me, Time(now), self.timer_counter);
         f(self.node.as_mut(), &mut ctx);
-        self.timer_counter = drain_context(
-            ctx,
-            self.me,
-            &self.net,
-            &self.wheel,
-            &mut self.cancelled,
-            self.tick,
-        );
+        self.timer_counter = ctx.timer_counter_snapshot();
+        let (outbox, timers, newly_cancelled) = ctx.into_outputs();
+        for (to, msg) in outbox {
+            self.net.send(self.me, to, msg);
+        }
+        let clock = &self.net.clock;
+        // Publish cancellations to the clock (which suppresses the firing
+        // when it wins the race) *and* remember them locally (which
+        // swallows the firing when the clock already sent it). The clock
+        // acks each suppression through `suppressed`, so the local list
+        // stays bounded by the genuinely in-flight cancellations.
+        if !timers.is_empty() || !newly_cancelled.is_empty() {
+            let mut agenda = clock.agenda.lock();
+            let (armed_at, mut earliest) = (Instant::now(), false);
+            for (delay, token) in timers {
+                let due = armed_at + self.net.wall(delay);
+                earliest |= agenda.push(due, self.me.0, Event::Timer(token));
+            }
+            agenda.cancelled.extend(newly_cancelled.iter().map(|t| t.0));
+            drop(agenda);
+            if earliest {
+                clock.wake.notify_one();
+            }
+        }
+        self.cancelled.extend(newly_cancelled);
+        let acked = std::mem::take(&mut *clock.suppressed[self.me.0].lock());
+        for token in acked {
+            if let Some(pos) = self.cancelled.iter().position(|&t| t == token) {
+                self.cancelled.swap_remove(pos);
+            }
+        }
     }
 
     /// Traces one arriving message and adds it to the step's batch — or
@@ -559,7 +391,7 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
         } else {
             (TraceKind::Deliver, 0)
         };
-        self.obs.emit(
+        self.net.obs.emit(
             kind,
             now,
             self.me.0 as u64,
@@ -576,32 +408,28 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
         let i = self.me.0;
         self.crashed = true;
         self.crash_mode = mode;
-        // Timers are volatile state: purge this node's pending wheel
-        // entries so no pre-crash timer fires after a restart.
-        let mut heap = self.wheel.heap.lock();
-        let drained = std::mem::take(&mut *heap);
-        let mut purged = Vec::new();
-        *heap = drained
-            .into_iter()
-            .filter(|r| {
-                if r.node == i {
-                    purged.push(r.token);
+        // Timers are volatile state: purge this node's pending timer
+        // entries, and with them their suppression markers, so no
+        // pre-crash timer fires after a restart. Only those: a message in
+        // flight to the node and its scheduled restart stay on the agenda.
+        let clock = &self.net.clock;
+        {
+            let mut agenda = clock.agenda.lock();
+            let Agenda {
+                heap, cancelled, ..
+            } = &mut *agenda;
+            heap.retain(|entry| match entry.event {
+                Event::Timer(token) if entry.node == i => {
+                    cancelled.remove(&token.0);
+                    false
                 }
-                r.node != i
-            })
-            .collect();
-        drop(heap);
-        // Purged entries will never reach the wheel's pop-time check;
-        // drop their suppression markers too so the set stays bounded.
-        if !purged.is_empty() {
-            let mut wheel_cancelled = self.wheel.cancelled.lock();
-            for token in purged {
-                wheel_cancelled.remove(&token.0);
-            }
+                _ => true,
+            });
         }
-        self.wheel.suppressed[i].lock().clear();
+        clock.suppressed[i].lock().clear();
         self.cancelled.clear();
-        self.obs
+        self.net
+            .obs
             .emit(TraceKind::Crash, now, i as u64, LANE_SYS, mode as u64, 0);
     }
 
@@ -614,7 +442,7 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
             replayed = self.node.restore_state();
             amnesia = 1;
         }
-        self.obs.emit(
+        self.net.obs.emit(
             TraceKind::Recover,
             now,
             self.me.0 as u64,
@@ -625,144 +453,11 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
     }
 }
 
-fn started_ticks(started: Instant, tick: Duration) -> u64 {
-    (started.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64
-}
-
-/// `t` ticks as wall-clock time, without the u32 truncation of
-/// `Duration * u32` (far-future scenario ticks saturate at ~584 years
-/// instead of silently wrapping to "almost now").
-fn ticks_to_wall(tick: Duration, t: u64) -> Duration {
-    Duration::from_nanos((tick.as_nanos() as u64).saturating_mul(t))
-}
-
-/// The interposer loop: applies the scenario's link schedule to every
-/// in-flight message. Held/delayed messages wait in a local heap keyed by
-/// wall-clock due time; the loop exits when every sender is gone.
-fn run_interposer<M: Send + Clone + 'static>(
-    rx: Receiver<Outbound<M>>,
-    senders: Vec<Sender<Event<M>>>,
-    mut net: ScenarioNet,
-    started: Instant,
-    tick: Duration,
-    obs: Obs,
-) {
-    let mut heap: BinaryHeap<Reverse<Delayed<M>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let deliver = |out: Outbound<M>| {
-        if let Some(tx) = senders.get(out.to.0) {
-            let _ = tx.send(Event::Msg {
-                from: out.from,
-                msg: out.msg,
-            });
-        }
-    };
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse(d)| d.due <= now) {
-            let Reverse(d) = heap.pop().expect("peeked");
-            deliver(d.out);
-        }
-        let timeout = heap
-            .peek()
-            .map(|Reverse(d)| d.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50));
-        let out = match rx.recv_timeout(timeout) {
-            Ok(out) => out,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        let mut hold =
-            |due: Instant, out: Outbound<M>, heap: &mut BinaryHeap<Reverse<Delayed<M>>>| {
-                seq += 1;
-                heap.push(Reverse(Delayed { due, seq, out }));
-            };
-        match net.decide(out.from, out.to, out.sent_tick) {
-            LinkDecision::Deliver { extra: 0 } => deliver(out),
-            LinkDecision::Deliver { extra } => {
-                hold(Instant::now() + ticks_to_wall(tick, extra), out, &mut heap);
-            }
-            LinkDecision::DeliverAtTick(t) => {
-                hold(started + ticks_to_wall(tick, t), out, &mut heap);
-            }
-            LinkDecision::Drop => {
-                obs.emit(
-                    TraceKind::Drop,
-                    started_ticks(started, tick),
-                    out.to.0 as u64,
-                    LANE_SYS,
-                    out.from.0 as u64,
-                    0,
-                );
-            }
-            LinkDecision::Duplicate { lag } => {
-                let copy = Outbound {
-                    from: out.from,
-                    to: out.to,
-                    msg: out.msg.clone(),
-                    sent_tick: out.sent_tick,
-                };
-                deliver(out);
-                hold(
-                    Instant::now() + ticks_to_wall(tick, lag.max(1)),
-                    copy,
-                    &mut heap,
-                );
-            }
-        }
-    }
-}
-
-fn drain_context<M: Send + Clone + 'static>(
-    ctx: Context<M>,
-    me: NodeId,
-    net: &NetOut<M>,
-    wheel: &TimerWheel,
-    cancelled: &mut Vec<TimerToken>,
-    tick: Duration,
-) -> u64 {
-    let counter = ctx.timer_counter_snapshot();
-    let (outbox, timers, newly_cancelled) = ctx.into_outputs();
-    for (to, msg) in outbox {
-        net.send(me, to, msg);
-    }
-    if !timers.is_empty() {
-        let mut heap = wheel.heap.lock();
-        for (delay, token) in timers {
-            heap.push(TimerReq {
-                due: Instant::now() + ticks_to_wall(tick, delay),
-                node: me.0,
-                token,
-            });
-        }
-        wheel.cv.notify_one();
-    }
-    // Publish cancellations to the wheel (which suppresses the firing
-    // when it wins the race) *and* remember them locally (which swallows
-    // the firing when the wheel already sent it). The wheel acks each
-    // suppression through `suppressed`, so the local list stays bounded
-    // by the genuinely in-flight cancellations.
-    if !newly_cancelled.is_empty() {
-        let mut wheel_cancelled = wheel.cancelled.lock();
-        wheel_cancelled.extend(newly_cancelled.iter().map(|t| t.0));
-    }
-    cancelled.extend(newly_cancelled);
-    let acked = std::mem::take(&mut *wheel.suppressed[me.0].lock());
-    for token in acked {
-        if let Some(pos) = cancelled.iter().position(|&t| t == token) {
-            cancelled.swap_remove(pos);
-        }
-    }
-    counter
-}
-
 impl<M: Send + Clone + 'static> Runtime<M> {
     /// Injects a message into `to`'s inbox, attributed to `from`, subject
     /// to the scenario's link schedule.
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        if let Some(net) = &self.net {
-            net.send(from, to, msg);
-        }
+        self.net.send(from, to, msg);
     }
 
     /// Runs a closure on the node's automaton (typed), on its own thread.
@@ -772,7 +467,7 @@ impl<M: Send + Clone + 'static> Runtime<M> {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<M>) + Send + 'static,
     ) {
-        let _ = self.senders[id.0].send(Event::Call(Box::new(move |node, ctx| {
+        let _ = self.net.inboxes[id.0].send(Event::Call(Box::new(move |node, ctx| {
             let concrete = node
                 .as_any_mut()
                 .downcast_mut::<T>()
@@ -789,7 +484,7 @@ impl<M: Send + Clone + 'static> Runtime<M> {
         f: impl FnOnce(&T) -> R + Send + 'static,
     ) -> R {
         let (tx, rx) = crossbeam_channel::bounded(1);
-        let _ = self.senders[id.0].send(Event::Call(Box::new(move |node, _ctx| {
+        let _ = self.net.inboxes[id.0].send(Event::Call(Box::new(move |node, _ctx| {
             let concrete = node
                 .as_any()
                 .downcast_ref::<T>()
@@ -818,7 +513,7 @@ impl<M: Send + Clone + 'static> Runtime<M> {
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(self.tick / 4 + Duration::from_micros(100));
+            std::thread::sleep(self.net.tick / 4 + Duration::from_micros(100));
         }
     }
 
@@ -835,40 +530,37 @@ impl<M: Send + Clone + 'static> Runtime<M> {
     /// `Automaton::restore_state`). Pending timers are purged in both
     /// modes — they are volatile state.
     pub fn crash_node_with(&self, id: NodeId, mode: CrashMode) {
-        let _ = self.senders[id.0].send(Event::Crash(mode));
+        let _ = self.net.inboxes[id.0].send(Event::Crash(mode));
     }
 
     /// Restarts a crashed node: with its retained state after a retain
     /// crash, from its durable store after an amnesia crash.
     pub fn restart_node(&self, id: NodeId) {
-        let _ = self.senders[id.0].send(Event::Restart);
+        let _ = self.net.inboxes[id.0].send(Event::Restart);
     }
 
     /// Replaces the automaton at `id` (Byzantine behaviour injection).
     /// The new automaton's `on_start` is *not* called.
     pub fn swap_node(&self, id: NodeId, node: Box<dyn Automaton<M> + Send>) {
-        let _ = self.senders[id.0].send(Event::Replace(node));
+        let _ = self.net.inboxes[id.0].send(Event::Replace(node));
     }
 
     /// Envelope/item counts since start.
     pub fn message_stats(&self) -> SubstrateStats {
-        match &self.net {
-            Some(net) => SubstrateStats {
-                envelopes: net.counters.envelopes.load(Ordering::Relaxed),
-                items: net.counters.items.load(Ordering::Relaxed),
-            },
-            None => SubstrateStats::default(),
+        SubstrateStats {
+            envelopes: self.net.envelopes.load(Ordering::Relaxed),
+            items: self.net.items.load(Ordering::Relaxed),
         }
     }
 
     /// Elapsed wall-clock since start.
     pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
+        self.net.started.elapsed()
     }
 
     /// The tick length in use.
     pub fn tick_len(&self) -> Duration {
-        self.tick
+        self.net.tick
     }
 
     /// The await timeout used by generic substrate awaits.
@@ -878,28 +570,16 @@ impl<M: Send + Clone + 'static> Runtime<M> {
 }
 
 impl<M: Send + 'static> Runtime<M> {
-    /// Stops all threads.
+    /// Stops all threads. Entries still on the agenda, however far in the
+    /// future, are dropped with it.
     pub fn shutdown(&mut self) {
-        *self.wheel.shutdown.lock() = true;
-        self.wheel.cv.notify_one();
-        self.latch.close();
-        for tx in &self.senders {
-            let _ = tx.send(Event::Shutdown);
+        self.net.clock.agenda.lock().shutdown = true;
+        self.net.clock.wake.notify_one();
+        for inbox in &self.net.inboxes {
+            let _ = inbox.send(Event::Shutdown);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.fault_thread.take() {
-            let _ = t.join();
-        }
-        // Dropping the last NetOut (ours; node threads are gone) closes
-        // the interposer's inbound channel and ends its loop.
-        self.net = None;
-        if let Some(t) = self.interposer_thread.take() {
-            let _ = t.join();
+        for thread in self.node_threads.drain(..).chain(self.clock_thread.take()) {
+            let _ = thread.join();
         }
     }
 }
@@ -914,17 +594,68 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
     const NAME: &'static str = "threaded";
     const DETERMINISTIC: bool = false;
 
+    /// Spawns one thread per node and the `rt-clock` thread, after
+    /// putting the scenario's crash plans on the agenda — as
+    /// `Substrate::build` for `World` turns them into queue entries.
     fn build(config: SubstrateConfig<M>) -> Self {
-        let mut builder = RuntimeBuilder::new()
-            .tick(config.tick)
-            .op_timeout(config.op_timeout)
-            .scenario(config.scenario)
-            .sizer(config.sizer)
-            .tracer(config.tracer);
-        for node in config.nodes {
-            builder = builder.node(node);
+        let n = config.nodes.len();
+        let (inboxes, receivers): (Vec<_>, Vec<Receiver<Event<M>>>) =
+            (0..n).map(|_| unbounded()).unzip();
+        let Scenario { links, crashes, .. } = &config.scenario;
+        let net = Arc::new(NetOut {
+            inboxes,
+            clock: Clock {
+                agenda: Mutex::new(Agenda {
+                    heap: BinaryHeap::new(),
+                    next_seq: 0,
+                    cancelled: HashSet::new(),
+                    shutdown: false,
+                }),
+                wake: Condvar::new(),
+                suppressed: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            },
+            links: (!links.is_empty()).then(|| Mutex::new(config.scenario.network())),
+            envelopes: AtomicU64::new(0),
+            items: AtomicU64::new(0),
+            sizer: config.sizer,
+            obs: Obs::new(config.tracer, 0),
+            started: Instant::now(),
+            tick: config.tick,
+        });
+        for plan in crashes {
+            let crash = Event::Crash(plan.crash_mode);
+            net.clock
+                .schedule(net.instant_of(plan.at), plan.node, crash);
+            if let Some(restart) = plan.restart_at {
+                net.clock
+                    .schedule(net.instant_of(restart), plan.node, Event::Restart);
+            }
         }
-        builder.start()
+        let clock_thread = {
+            let net = net.clone();
+            spawn_named("rt-clock", move || net.clock.run(&net.inboxes))
+        };
+        let node_threads = (config.nodes.into_iter().zip(receivers).enumerate())
+            .map(|(i, (node, rx))| {
+                let host = NodeHost {
+                    me: NodeId(i),
+                    node,
+                    net: net.clone(),
+                    timer_counter: (i as u64) << 32,
+                    cancelled: Vec::new(),
+                    crashed: false,
+                    crash_mode: CrashMode::Retain,
+                    batch: Vec::new(),
+                };
+                spawn_named(&format!("rt-node-{i}"), move || host.run(rx))
+            })
+            .collect();
+        Runtime {
+            net,
+            node_threads,
+            clock_thread: Some(clock_thread),
+            op_timeout: config.op_timeout,
+        }
     }
 
     fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
@@ -977,11 +708,11 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
     }
 
     fn now_ticks(&self) -> Time {
-        Time(started_ticks(self.started, self.tick))
+        Time(self.net.now_ticks())
     }
 
     fn elapsed_units(&self) -> u64 {
-        (self.started.elapsed().as_micros() as u64).max(1)
+        (self.net.started.elapsed().as_micros() as u64).max(1)
     }
 
     fn shutdown(&mut self) {
@@ -994,6 +725,17 @@ mod tests {
     use super::*;
     use rqs_sim::{LinkEffect, LinkRule, Selector};
     use std::any::Any;
+
+    type Nodes = Vec<Box<dyn Automaton<u32> + Send>>;
+
+    /// A runtime over `nodes` with 1 ms ticks and no faults.
+    fn config(nodes: Nodes) -> SubstrateConfig<u32> {
+        SubstrateConfig::new(nodes).tick(Duration::from_millis(1))
+    }
+
+    fn start(config: SubstrateConfig<u32>) -> Runtime<u32> {
+        Substrate::build(config)
+    }
 
     #[derive(Default)]
     struct Echo {
@@ -1017,10 +759,10 @@ mod tests {
 
     #[test]
     fn ping_pong_across_threads() {
-        let mut rt = RuntimeBuilder::new()
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![
+            Box::new(Echo::default()),
+            Box::new(Echo::default()),
+        ]));
         rt.send(NodeId(0), NodeId(1), 4);
         let done = rt.wait_for::<Echo>(
             NodeId(1),
@@ -1057,10 +799,7 @@ mod tests {
 
     #[test]
     fn timers_fire_in_real_time() {
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .node(Box::new(TimerUser::default()))
-            .start();
+        let mut rt = start(config(vec![Box::new(TimerUser::default())]));
         rt.send(NodeId(0), NodeId(0), 0);
         let ok = rt.wait_for::<TimerUser>(
             NodeId(0),
@@ -1073,10 +812,10 @@ mod tests {
 
     #[test]
     fn invoke_runs_on_node_thread() {
-        let mut rt = RuntimeBuilder::new()
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![
+            Box::new(Echo::default()),
+            Box::new(Echo::default()),
+        ]));
         rt.invoke::<Echo>(NodeId(0), |_e, ctx| ctx.send(NodeId(1), 0));
         let ok = rt.wait_for::<Echo>(
             NodeId(1),
@@ -1113,11 +852,11 @@ mod tests {
         }
     }
 
-    /// Parks node 0 inside a `Call` until the returned sender is
+    /// Parks node 0 (a `T`) inside a `Call` until the returned sender is
     /// dropped, so a test can queue events behind it in a known order.
-    fn park(rt: &Runtime<u32>) -> std::sync::mpsc::Sender<()> {
+    fn park<T: 'static>(rt: &Runtime<u32>) -> std::sync::mpsc::Sender<()> {
         let (release, parked) = std::sync::mpsc::channel::<()>();
-        rt.invoke::<Steps>(NodeId(0), move |_n, _c| {
+        rt.invoke::<T>(NodeId(0), move |_n, _c| {
             let _ = parked.recv();
         });
         release
@@ -1129,11 +868,9 @@ mod tests {
 
     #[test]
     fn messages_queued_behind_a_busy_node_are_one_step() {
-        let mut rt = RuntimeBuilder::new()
-            .node(Box::new(Steps::default()))
-            .start();
+        let mut rt = start(config(vec![Box::new(Steps::default())]));
         for round in [0, 10] {
-            let release = park(&rt);
+            let release = park::<Steps>(&rt);
             for m in 1..=3 {
                 rt.send(NodeId(0), NodeId(0), round + m);
             }
@@ -1150,13 +887,11 @@ mod tests {
 
     #[test]
     fn timer_queued_between_two_messages_fires_between_them() {
-        let mut rt = RuntimeBuilder::new()
-            .node(Box::new(Steps::default()))
-            .start();
-        let release = park(&rt);
+        let mut rt = start(config(vec![Box::new(Steps::default())]));
+        let release = park::<Steps>(&rt);
         rt.send(NodeId(0), NodeId(0), 1);
         rt.send(NodeId(0), NodeId(0), 2);
-        assert!(rt.senders[0].send(Event::Timer(TimerToken(7))).is_ok());
+        assert!(rt.net.inboxes[0].send(Event::Timer(TimerToken(7))).is_ok());
         rt.send(NodeId(0), NodeId(0), 3);
         drop(release);
         assert_eq!(
@@ -1167,25 +902,25 @@ mod tests {
         rt.shutdown();
     }
 
+    fn trace_kinds(rec: &rqs_obs::FlightRecorder) -> Vec<TraceKind> {
+        rqs_obs::Tracer::snapshot(rec)
+            .iter()
+            .map(|e| e.kind)
+            .collect()
+    }
+
     #[test]
     fn crash_queued_between_two_messages_loses_the_second() {
         let rec = Arc::new(rqs_obs::FlightRecorder::new(64));
-        let mut rt = RuntimeBuilder::new()
-            .tracer(rec.clone())
-            .node(Box::new(Steps::default()))
-            .start();
-        let release = park(&rt);
+        let mut rt = start(config(vec![Box::new(Steps::default())]).tracer(rec.clone()));
+        let release = park::<Steps>(&rt);
         rt.send(NodeId(0), NodeId(0), 1);
         rt.crash_node(NodeId(0));
         rt.send(NodeId(0), NodeId(0), 2);
         drop(release);
         assert_eq!(steps_of(&rt), [Some(vec![1])]);
-        let kinds: Vec<TraceKind> = rqs_obs::Tracer::snapshot(&*rec)
-            .iter()
-            .map(|e| e.kind)
-            .collect();
         assert_eq!(
-            kinds,
+            trace_kinds(&rec),
             [TraceKind::Deliver, TraceKind::Crash, TraceKind::Drop]
         );
         rt.shutdown();
@@ -1193,9 +928,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
-        let mut rt: Runtime<u32> = RuntimeBuilder::new()
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![Box::new(Echo::default())]));
         rt.shutdown();
         rt.shutdown();
         drop(rt);
@@ -1203,11 +936,10 @@ mod tests {
 
     #[test]
     fn crash_drops_messages_restart_resumes() {
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![
+            Box::new(Echo::default()),
+            Box::new(Echo::default()),
+        ]));
         rt.crash_node(NodeId(1));
         rt.send(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
@@ -1225,8 +957,9 @@ mod tests {
         rt.shutdown();
     }
 
-    /// Remembers messages volatilely and arms a long timer on each one;
-    /// restore_state simulates rebuilding from an empty durable store.
+    /// Remembers messages volatilely and arms a long timer on each
+    /// non-zero one; restore_state simulates rebuilding from an empty
+    /// durable store.
     #[derive(Default)]
     struct Volatile {
         got: Vec<u32>,
@@ -1237,7 +970,9 @@ mod tests {
     impl Automaton<u32> for Volatile {
         fn on_message(&mut self, _f: NodeId, msg: u32, ctx: &mut Context<u32>) {
             self.got.push(msg);
-            ctx.set_timer(50);
+            if msg > 0 {
+                ctx.set_timer(50);
+            }
         }
         fn on_timer(&mut self, _t: TimerToken, _ctx: &mut Context<u32>) {
             self.fired += 1;
@@ -1257,11 +992,10 @@ mod tests {
 
     #[test]
     fn amnesia_crash_restores_from_store_and_purges_timers() {
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .node(Box::new(Volatile::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![
+            Box::new(Volatile::default()),
+            Box::new(Echo::default()),
+        ]));
         rt.send(NodeId(1), NodeId(0), 5);
         assert!(rt.wait_for::<Volatile>(
             NodeId(0),
@@ -1286,6 +1020,35 @@ mod tests {
         rt.shutdown();
     }
 
+    #[test]
+    fn crash_purges_timers_but_not_messages_in_flight() {
+        // Messages from node 1 take 80 ticks; node 0's own arrive at once.
+        let slow = LinkRule::every(LinkEffect::Delay(80)).from(Selector::Is(NodeId(1)));
+        let mut rt = start(
+            config(vec![Box::new(Volatile::default()), Box::new(Mute)])
+                .scenario(Scenario::named("slow").link(slow)),
+        );
+        // Queued behind the parked node, in this order: a message that
+        // arms the 50-tick timer, a crash, a restart. The delayed message
+        // is on the agenda, due after all three and after the timer.
+        let release = park::<Volatile>(&rt);
+        rt.send(NodeId(0), NodeId(0), 1);
+        rt.crash_node(NodeId(0));
+        rt.restart_node(NodeId(0));
+        rt.send(NodeId(1), NodeId(0), 0);
+        drop(release);
+        assert!(rt.wait_for::<Volatile>(
+            NodeId(0),
+            |v: &Volatile| v.got == [1, 0],
+            Duration::from_secs(5),
+        ));
+        // The clock serves the agenda in due order, so the timer (tick
+        // 50) would have reached the inbox before the message (tick 80).
+        let fired = rt.inspect::<Volatile, usize>(NodeId(0), |v| v.fired);
+        assert_eq!(fired, 0, "the purge takes the crashed node's timers");
+        rt.shutdown();
+    }
+
     /// A node that swallows everything (Byzantine-mute stand-in).
     #[derive(Default)]
     struct Mute;
@@ -1302,11 +1065,10 @@ mod tests {
 
     #[test]
     fn swap_node_changes_behaviour() {
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(config(vec![
+            Box::new(Echo::default()),
+            Box::new(Echo::default()),
+        ]));
         rt.swap_node(NodeId(1), Box::new(Mute));
         rt.send(NodeId(0), NodeId(1), 3);
         // The mute replacement never replies, so node 0 sees nothing.
@@ -1325,12 +1087,9 @@ mod tests {
                 .to(Selector::Is(NodeId(1)))
                 .during(0, 50),
         );
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .scenario(scenario)
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
+        let mut rt = start(
+            config(vec![Box::new(Echo::default()), Box::new(Echo::default())]).scenario(scenario),
+        );
         rt.send(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
             NodeId(1),
@@ -1350,15 +1109,29 @@ mod tests {
     }
 
     #[test]
+    fn scenario_hold_delivers_at_the_heal_tick() {
+        let scenario = Scenario::named("hold").link(
+            LinkRule::every(LinkEffect::HoldUntilHeal)
+                .to(Selector::Is(NodeId(1)))
+                .during(0, 40),
+        );
+        let mut rt =
+            start(config(vec![Box::new(Mute), Box::new(Echo::default())]).scenario(scenario));
+        rt.send(NodeId(0), NodeId(1), 7);
+        assert!(rt.wait_for::<Echo>(NodeId(1), |e: &Echo| e.got == [7], Duration::from_secs(5),));
+        assert!(
+            rt.elapsed() >= Duration::from_millis(40),
+            "held until the window closed"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
     fn scenario_duplicate_delivers_twice() {
         let scenario =
             Scenario::named("dup").link(LinkRule::every(LinkEffect::Duplicate { lag: 2 }));
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .scenario(scenario)
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Mute))
-            .start();
+        let mut rt =
+            start(config(vec![Box::new(Echo::default()), Box::new(Mute)]).scenario(scenario));
         rt.send(NodeId(0), NodeId(0), 0);
         assert!(rt.wait_for::<Echo>(
             NodeId(0),
@@ -1369,15 +1142,65 @@ mod tests {
     }
 
     #[test]
+    fn delayed_messages_on_one_link_arrive_in_send_order() {
+        let scenario = Scenario::named("slow").link(LinkRule::every(LinkEffect::Delay(2)));
+        let mut rt =
+            start(config(vec![Box::new(Mute), Box::new(Echo::default())]).scenario(scenario));
+        for m in 1..=200 {
+            rt.send(NodeId(0), NodeId(1), m);
+        }
+        assert!(rt.wait_for::<Echo>(
+            NodeId(1),
+            |e: &Echo| e.got.len() == 200,
+            Duration::from_secs(5),
+        ));
+        let got = rt.inspect::<Echo, Vec<u32>>(NodeId(1), |e| e.got.clone());
+        assert_eq!(got, (1..=200).collect::<Vec<u32>>());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn entries_due_at_the_same_instant_fire_in_insertion_order() {
+        let rec = Arc::new(rqs_obs::FlightRecorder::new(64));
+        let mut rt = start(config(vec![Box::new(Steps::default())]).tracer(rec.clone()));
+        let due = Instant::now() + Duration::from_millis(20);
+        let msg = |msg| Event::Msg {
+            from: NodeId(0),
+            msg,
+        };
+        // What a crash plan and delayed messages with one due instant
+        // put on the agenda.
+        for event in [
+            msg(1),
+            msg(2),
+            Event::Crash(CrashMode::Retain),
+            msg(3),
+            Event::Restart,
+            msg(4),
+        ] {
+            rt.net.clock.schedule(due, 0, event);
+        }
+        let received = |s: &Steps| s.0.iter().flatten().flatten().copied().collect::<Vec<_>>();
+        assert!(rt.wait_for::<Steps>(
+            NodeId(0),
+            move |s: &Steps| received(s) == [1, 2, 4],
+            Duration::from_secs(5),
+        ));
+        use TraceKind::{Crash, Deliver, Drop, Recover};
+        assert_eq!(
+            trace_kinds(&rec),
+            [Deliver, Deliver, Crash, Drop, Recover, Deliver]
+        );
+        rt.shutdown();
+    }
+
+    #[test]
     fn scenario_crash_plan_fires_on_schedule() {
         let scenario = Scenario::named("cr").crash_restart(1, 0, 40);
-        let mut rt = RuntimeBuilder::new()
-            .tick(Duration::from_millis(1))
-            .scenario(scenario)
-            .node(Box::new(Echo::default()))
-            .node(Box::new(Echo::default()))
-            .start();
-        // Give the scheduler a beat to crash node 1 at tick 0.
+        let mut rt = start(
+            config(vec![Box::new(Echo::default()), Box::new(Echo::default())]).scenario(scenario),
+        );
+        // Give the clock a beat to crash node 1 at tick 0.
         std::thread::sleep(Duration::from_millis(10));
         rt.send(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
@@ -1397,11 +1220,26 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_does_not_wait_for_far_future_entries() {
+        const FAR: u64 = 1_000_000_000;
+        let scenario = Scenario::named("far")
+            .link(LinkRule::every(LinkEffect::HoldUntilHeal).during(0, FAR))
+            .crash(0, FAR);
+        let mut rt =
+            start(config(vec![Box::new(Echo::default()), Box::new(Mute)]).scenario(scenario));
+        rt.send(NodeId(1), NodeId(0), 0);
+        assert_eq!(rt.net.clock.agenda.lock().heap.len(), 2);
+        let t0 = Instant::now();
+        rt.shutdown();
+        assert!(t0.elapsed() < Duration::from_millis(500));
+    }
+
+    #[test]
     fn substrate_trait_drives_runtime() {
-        let nodes: Vec<Box<dyn Automaton<u32> + Send>> =
-            vec![Box::new(Echo::default()), Box::new(Echo::default())];
-        let cfg = SubstrateConfig::new(nodes).tick(Duration::from_millis(1));
-        let mut sub: Runtime<u32> = Substrate::build(cfg);
+        let mut sub = start(config(vec![
+            Box::new(Echo::default()),
+            Box::new(Echo::default()),
+        ]));
         Substrate::post(&mut sub, NodeId(0), NodeId(1), 4);
         assert!(sub.await_on::<Echo>(NodeId(1), |e| e.got.len() >= 3, 0));
         assert_eq!(<Runtime<u32> as Substrate<u32>>::NAME, "threaded");

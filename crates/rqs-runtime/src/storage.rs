@@ -27,8 +27,8 @@ impl RtStorage {
         Self::with_scenario(rqs, readers, Scenario::default(), tick)
     }
 
-    /// Deploys under a fault scenario (compiled to an interposed
-    /// message-filter thread plus a fault scheduler).
+    /// Deploys under a fault scenario (link rules decided in the
+    /// runtime's send path, crash plans on its clock).
     pub fn with_scenario(rqs: Rqs, readers: usize, scenario: Scenario, tick: Duration) -> Self {
         RtStorage {
             dep: StorageDeployment::with_setup(rqs, readers, scenario, tick),

@@ -11,8 +11,8 @@
 //!   scheduled [`crash_at`](crate::World::crash_at) /
 //!   [`restart_at`](crate::World::restart_at) events;
 //! - on the threaded runtime the very same [`ScenarioNet::decide`] core
-//!   runs inside an interposed message-filter thread, and crash plans
-//!   become a wall-clock fault scheduler.
+//!   runs in the send path, on the sender's thread, and delayed messages
+//!   and crash plans become entries on the runtime's one clock.
 //!
 //! All times are protocol ticks: one tick is one synchronous message
 //! delay on the simulator, one configured tick length on the runtime.
@@ -306,7 +306,7 @@ pub enum LinkDecision {
 /// The compiled link schedule: [`Scenario::links`] plus per-rule counters
 /// (for `DropEvery` / `Jitter` determinism). Implements [`FatePolicy`] so
 /// a [`World`](crate::World) can route through it directly; the threaded
-/// runtime calls [`ScenarioNet::decide`] from its interposer thread.
+/// runtime calls [`ScenarioNet::decide`] from its send path.
 #[derive(Clone, Debug)]
 pub struct ScenarioNet {
     rules: Vec<(LinkRule, u64)>,

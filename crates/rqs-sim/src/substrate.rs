@@ -17,8 +17,8 @@
 //!
 //! Fault injection plugs in at the same seam: a declarative
 //! [`Scenario`] handed to [`SubstrateConfig`] compiles to a fate policy
-//! on the simulator and to an interposed message-filter thread plus a
-//! fault scheduler on the runtime.
+//! plus crash and restart queue entries on the simulator, and to the
+//! same decision in the runtime's send path plus entries on its clock.
 //!
 //! # The step over a batch
 //!

@@ -10,7 +10,7 @@
 //! scripting methods) and on the threaded runtime
 //! (`rqs_runtime::RtStorage` wraps the same driver). Fault injection goes
 //! through a declarative [`Scenario`], which compiles to a fate policy on
-//! the simulator and an interposed filter thread on the runtime.
+//! the simulator and is decided in the send path on the runtime.
 
 use crate::atomicity::{AtomicityViolation, OpKind, OpRecord};
 use crate::byzantine::ForgedServer;

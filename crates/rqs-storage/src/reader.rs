@@ -555,11 +555,8 @@ impl Reader {
         invoked_at: Time,
         ctx: &mut Context<StorageMsg>,
     ) {
-        if let State::Writeback(wb) = &self.state {
-            if let Some(t) = wb.timer {
-                ctx.cancel_timer(t);
-            }
-        }
+        // Nothing to cancel: a timed write-back ends only after its timer
+        // fired or was cancelled when the round was decided.
         self.obs.emit(
             TraceKind::OpCompleted,
             ctx.now().ticks(),
@@ -844,6 +841,62 @@ mod tests {
         let out = &r.outcomes()[0];
         assert_eq!((out.rounds, out.completed_at), (2, Time(2)));
         assert_eq!(out.returned, csel);
+    }
+
+    #[test]
+    fn acks_after_the_timer_fired_cancel_nothing() {
+        use rqs_sim::Time;
+        let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
+        let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
+        // Each step gets a fresh context; none may cancel the dead token.
+        let step = |r: &mut Reader, f: &dyn Fn(&mut Reader, &mut Context<StorageMsg>)| {
+            let mut c = Context::new(NodeId(5), Time(9), 1);
+            f(r, &mut c);
+            assert!(c.cancelled_timers().is_empty());
+        };
+
+        // Phase 1: the timer fires with two answers in; the third
+        // completes a quorum and the read of the unwritten register.
+        let mut r = Reader::new(rqs.clone(), servers.clone());
+        let mut c = Context::new(NodeId(5), Time(0), 0);
+        r.start_read(&mut c);
+        let timer = c.armed_timers()[0].1;
+        let rd_ack = |i: usize| {
+            move |r: &mut Reader, c: &mut Context<StorageMsg>| {
+                let ack = StorageMsg::RdAck {
+                    read_no: 1,
+                    rnd: 1,
+                    history: History::new(),
+                };
+                r.on_message(NodeId(i), ack, c)
+            }
+        };
+        step(&mut r, &rd_ack(0));
+        step(&mut r, &rd_ack(1));
+        step(&mut r, &|r, c| r.on_timer(timer, c));
+        assert!(r.outcomes().is_empty(), "no quorum yet");
+        step(&mut r, &rd_ack(2));
+        assert_eq!(r.outcomes()[0].rounds, 1);
+
+        // Write-back: the same, with the quorum of X that confirms it.
+        let x = rqs.class2_within([0, 1, 2].into_iter().map(ProcessId).collect());
+        let mut r = Reader::new(rqs, servers);
+        let mut c = Context::new(NodeId(5), Time(0), 0);
+        r.read_no = 1;
+        let csel = TsVal::new(4, Value::from(9u64));
+        r.start_writeback(csel, WbKind::FastRound1 { x }, 1, Time(0), &mut c);
+        let timer = c.armed_timers()[0].1;
+        let wr_ack = |i: usize| {
+            move |r: &mut Reader, c: &mut Context<StorageMsg>| {
+                r.on_message(NodeId(i), StorageMsg::WrAck { ts: 4, rnd: 1 }, c)
+            }
+        };
+        step(&mut r, &wr_ack(0));
+        step(&mut r, &wr_ack(1));
+        step(&mut r, &|r, c| r.on_timer(timer, c));
+        assert!(r.outcomes().is_empty(), "no quorum yet");
+        step(&mut r, &wr_ack(2));
+        assert_eq!(r.outcomes()[0].rounds, 2);
     }
 
     #[test]

@@ -340,10 +340,9 @@ impl Writer {
     }
 
     fn complete(&mut self, rounds: usize, ctx: &mut Context<StorageMsg>) {
+        // Nothing to cancel: a round ends only after its timer fired or was
+        // cancelled when the round was decided (`timer_expired`).
         let w = self.current.take().expect("write in progress");
-        if let Some(timer) = w.timer {
-            ctx.cancel_timer(timer);
-        }
         self.obs.emit(
             TraceKind::OpCompleted,
             ctx.now().ticks(),
@@ -467,7 +466,7 @@ mod tests {
             assert!(!w.is_idle(), "undecided: must await the timer");
         }
         // …the 4th completes a class-1 quorum: decided, so the write
-        // completes at ack time and hands the timer back to the wheel.
+        // completes at ack time and cancels the still-pending timer.
         let mut c = new_ctx(2);
         w.on_message(NodeId(3), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
         assert!(w.is_idle());
@@ -519,6 +518,37 @@ mod tests {
         assert!(w.is_idle());
         assert_eq!(w.outcomes()[0].rounds, 2);
         assert_eq!(w.outcomes()[0].completed_at, Time(5));
+    }
+
+    #[test]
+    fn acks_after_the_timer_fired_cancel_nothing() {
+        let mut w = Writer::new(rqs_5(), servers());
+        let mut ctx = new_ctx(0);
+        w.start_write(Value::from(7u64), &mut ctx);
+        let timer = ctx.armed_timers()[0].1;
+        for i in 0..3 {
+            let mut c = new_ctx(2);
+            w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 1 }, &mut c);
+        }
+        let mut c = new_ctx(3);
+        w.on_timer(timer, &mut c);
+        assert!(c.cancelled_timers().is_empty(), "round 1: timer fired");
+        // Round 2: the timer fires with two acks in, the third arrives
+        // after it and completes the write. The token is dead by then:
+        // cancelling it would leave a marker no firing ever clears.
+        let round2_timer = c.armed_timers()[0].1;
+        for i in 0..2 {
+            let mut c = new_ctx(5);
+            w.on_message(NodeId(i), StorageMsg::WrAck { ts: 1, rnd: 2 }, &mut c);
+        }
+        let mut c = new_ctx(6);
+        w.on_timer(round2_timer, &mut c);
+        assert!(!w.is_idle(), "no quorum yet");
+        let mut c = new_ctx(7);
+        w.on_message(NodeId(2), StorageMsg::WrAck { ts: 1, rnd: 2 }, &mut c);
+        assert!(w.is_idle());
+        assert_eq!(w.outcomes()[0].rounds, 2);
+        assert!(c.cancelled_timers().is_empty());
     }
 
     #[test]

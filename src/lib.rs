@@ -27,7 +27,8 @@
 //!   substrate-generic `ConsensusDeployment`;
 //! - [`runtime`] ([`rqs_runtime`]) — the node-per-thread
 //!   [`Substrate`](rqs_sim::Substrate) implementation over crossbeam
-//!   channels (scenarios compile to an interposed message-filter thread);
+//!   channels (scenarios are decided in its send path; what they delay
+//!   rides its one clock thread);
 //! - [`check`] ([`rqs_check`]) — systematic schedule exploration (model
 //!   checking) over the deterministic world: bounded DFS with state-hash
 //!   deduplication and fault branching, seeded random walks, pluggable

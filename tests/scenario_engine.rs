@@ -1,16 +1,19 @@
-//! The acceptance gate for the scenario engine: the three canonical
-//! fault scenarios — partition+heal, lossy/duplicating links, and
-//! crash+restart — each complete a seeded KV workload with per-object
-//! atomicity on **both** substrates, from one declarative description.
+//! The acceptance gate for the scenario engine: the canonical fault
+//! scenarios — partition+heal, lossy/duplicating links, crash+restart,
+//! and crash+restart over delayed links — each complete a seeded KV
+//! workload with per-object atomicity on **both** substrates, from one
+//! declarative description.
 
 use rqs::core::threshold::ThresholdConfig;
 use rqs::kv::{workload, KvBatch, KvDeployment, KvRunStats, WorkloadConfig};
 use rqs::sim::{LinkEffect, LinkRule, Scenario, Substrate, World};
 use std::time::Duration;
 
-/// The three canonical scenarios, sized for the n = 4 `byzantine_fast(1)`
+/// The canonical scenarios, sized for the n = 4 `byzantine_fast(1)`
 /// universe (t = 1: at most one server cut/lossy/crashed, so a correct
-/// quorum always stays connected and no run can stall).
+/// quorum always stays connected and no run can stall). The last puts
+/// all three kinds of "later" on the runtime's agenda at once: delayed
+/// messages, timers, and a crash plan.
 fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario::named("partition+heal").partition(vec![3], 0, 30),
@@ -18,6 +21,9 @@ fn scenarios() -> Vec<Scenario> {
             .lossy_towards(vec![3], 4)
             .link(LinkRule::every(LinkEffect::Duplicate { lag: 2 })),
         Scenario::named("crash+restart").crash_restart(0, 10, 60),
+        Scenario::named("delay+crash+restart")
+            .link(LinkRule::every(LinkEffect::Delay(2)))
+            .crash_restart(0, 10, 60),
     ]
 }
 
