@@ -96,8 +96,8 @@ fn main() {
     eprintln!("bench_diff: running quick exp_soak (seed {})...", args.seed);
     let soak_params = bench::exp_soak::SoakParams::quick();
     let run = bench::exp_soak::run_soak(args.seed, soak_params);
-    if run.sidecar.verdict.is_err() {
-        eprintln!("bench_diff: soak reported an atomicity violation");
+    if !bench::exp_soak::passed(&run) {
+        eprintln!("bench_diff: soak reported an atomicity violation or a nudge storm");
         std::process::exit(1);
     }
     fresh.push(bench::exp_soak::render(args.seed, soak_params, &run));

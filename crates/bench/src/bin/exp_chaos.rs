@@ -1,7 +1,7 @@
 //! E19: crash-recovery chaos soak — KV load on the threaded runtime
 //! with file-backed write-ahead stores, flaky links, and repeated
 //! amnesia crash/restart cycles, every operation validated by the
-//! checker sidecar. Exits non-zero on an atomicity violation, an
+//! streaming checkers. Exits non-zero on an atomicity violation, an
 //! unrecovered restart, or an op-count mismatch, so CI can run
 //! `exp_chaos --quick --json` as a smoke step.
 fn main() {

@@ -1,9 +1,9 @@
 //! E20: hot-path throughput sweep — client pipeline depth on the
-//! threaded runtime, every cell's operations validated by the checker
-//! sidecar. `--pipeline N` sweeps only that depth (beside the depth-1
-//! baseline). Exits non-zero if any cell reports an atomicity
-//! violation, so CI can run `exp_pipeline --quick --json` as a smoke
-//! step.
+//! threaded runtime, every cell's operations validated by the streaming
+//! checkers. `--pipeline N` sweeps only that depth (beside the depth-1
+//! baseline). Exits non-zero if any cell reports an atomicity violation
+//! or a re-broadcast storm, so CI can run `exp_pipeline --quick --json`
+//! as a smoke step.
 
 fn main() {
     let args = bench::cli::ExpArgs::parse();

@@ -1,7 +1,9 @@
 //! E18: streaming-validation soak — a long KV workload on the threaded
-//! runtime with the checker sidecar validating every operation as it
-//! completes. Exits non-zero if the sidecar reports an atomicity
-//! violation, so CI can run `exp_soak --quick --json` as a smoke step.
+//! runtime with the streaming checkers validating every operation wave
+//! by wave. Exits non-zero on an atomicity violation or a re-broadcast
+//! storm (more than 100 watchdog nudges per 1000 ops over its
+//! fault-free links), so CI can run `exp_soak --quick --json`
+//! as a smoke step.
 //! `--trace PATH` exports the (tail of the) run as Chrome trace-event
 //! JSON.
 
@@ -17,10 +19,10 @@ fn main() {
     };
     let params = bench::exp_soak::SoakParams::for_mode(args.quick).with_overrides(args.pipeline);
     let run = bench::exp_soak::run_soak_traced(args.seed, params, tracer);
-    let violated = run.sidecar.verdict.is_err();
+    let passed = bench::exp_soak::passed(&run);
     let events = rec.map(|r| r.snapshot()).unwrap_or_default();
     args.emit_traced(&[bench::exp_soak::render(args.seed, params, &run)], &events);
-    if violated {
+    if !passed {
         std::process::exit(1);
     }
 }

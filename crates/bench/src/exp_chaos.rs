@@ -14,20 +14,21 @@
 //!   replayed records), and the recovered bank is checkpointed into a
 //!   compacting snapshot so the next recovery replays only the deltas
 //!   since — WAL replay stays bounded across cycles;
-//! - retry-hardened clients (bounded nudges, exponential backoff with
-//!   deterministic jitter, duplicate-reply suppression) ride out both
-//!   the lossy links and the crash windows — the op count must come out
-//!   exact, proving retries are not double-counted;
-//! - the checker sidecar validates **every** operation's atomicity while
-//!   the workload runs.
+//! - the clients' loss watchdogs (a silent round is re-broadcast after
+//!   one observed round trip beyond its timer, doubling, with
+//!   deterministic jitter and duplicate-reply suppression — uncalibrated,
+//!   as everywhere) ride out both the lossy links and the crash windows:
+//!   the op count must come out exact, proving nudged ops are not
+//!   double-counted;
+//! - the streaming checkers validate **every** operation's atomicity
+//!   while the workload runs.
 //!
 //! The recorded numbers are committed as `BENCH_chaos.json`.
 
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;
-use rqs_kv::{workload, KvRunStats, RetryPolicy, RetryStats, RtKv, WorkloadConfig};
+use rqs_kv::{workload, KvAtomicityViolation, KvRunStats, RtKv, WorkloadConfig};
 use rqs_obs::{Obs, TraceEvent, TraceKind, Tracer};
-use rqs_runtime::SidecarReport;
 use rqs_sim::{CrashMode, LinkEffect, LinkRule, Scenario};
 use rqs_store::{StoreHandle, StoreStats};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,27 +112,25 @@ impl ChaosParams {
 }
 
 /// One chaos run: whole-run metrics (folded over the crash-separated
-/// segments), the sidecar's verdict, durable-store counters, client
-/// retry counters, and the recovery tally.
+/// segments, checker and watchdog counters included), the atomicity
+/// verdict, durable-store counters, and the recovery tally.
 pub struct ChaosRun {
     /// Folded run metrics (`duration_units` is wall-clock microseconds).
     pub stats: KvRunStats,
-    /// The checker sidecar's verdict and aggregated counters.
-    pub sidecar: SidecarReport,
+    /// The streaming checkers' verdict.
+    pub verdict: Result<(), KvAtomicityViolation>,
     /// Merged durable-store counters across all servers.
     pub store: StoreStats,
     /// Deltas carried by the `store.appends` log records (summed from
     /// the stores' [`TraceKind::WalAppended`] events).
     pub wal_deltas: u64,
-    /// Merged client retry counters over the whole run.
-    pub retries: RetryStats,
     /// Amnesia crash/restart cycles injected.
     pub cycles: usize,
     /// Cycles whose restart replayed at least one log record from the
     /// victim's durable store — must equal `cycles` for a passing run.
     pub recovered: usize,
     /// Wall-clock time of the workload segments (excluding deployment
-    /// setup and the final sidecar join).
+    /// setup).
     pub wall: Duration,
 }
 
@@ -149,7 +148,7 @@ impl Tracer for WalDeltas {
 }
 
 /// Runs the chaos soak: threaded runtime, file-backed write-ahead
-/// stores, flaky links, rotating amnesia crash/restart cycles, sidecar
+/// stores, flaky links, rotating amnesia crash/restart cycles, streaming
 /// validation of every operation.
 pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
     // crash_fast(5, 1): n = 5, t = 2 — tolerates the lossy server and
@@ -189,19 +188,7 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
         store.set_obs(Obs::new(wal_deltas.clone(), i as u64));
     }
     kv.retain_outcomes(false);
-    kv.enable_checker_sidecar();
     kv.set_pipeline(params.pipeline);
-    // Generous retry budget, but with backoff calibrated above the p99
-    // of the fsync-dominated op latency of the file-backed stores
-    // (~2000 ticks): a base below real latency turns the watchdogs into
-    // a nudge storm (every op re-broadcasts before its legitimate reply
-    // lands) that snowballs into congestion collapse at scale.
-    kv.set_retry_policy(RetryPolicy {
-        max_retries: 32,
-        base_backoff: 2500,
-        max_backoff: 20_000,
-        deadline: 1 << 22,
-    });
 
     let cfg = WorkloadConfig::mixed(params.objects, params.clients, params.ops, seed);
     let ops = workload::generate(&cfg);
@@ -238,19 +225,20 @@ pub fn run_chaos(seed: u64, params: ChaosParams) -> ChaosRun {
     }
     let wall = t0.elapsed();
 
-    let sidecar = kv.finish_sidecar().expect("sidecar was enabled");
+    let verdict = kv.check_atomicity();
+    // Each segment reported the checkers' lifetime counters; keep the
+    // last reading, not the fold.
+    stats.checker = kv.checker_stats();
     let store = kv.store_stats();
-    let retries = kv.retry_stats();
     kv.shutdown();
     if let Some(dir) = tmp {
         let _ = std::fs::remove_dir_all(dir);
     }
     ChaosRun {
         stats,
-        sidecar,
+        verdict,
         store,
         wal_deltas: wal_deltas.0.load(Ordering::Relaxed),
-        retries,
         cycles: params.crash_cycles,
         recovered,
         wall,
@@ -273,7 +261,7 @@ fn wait_for_replay(store: &StoreHandle, before: usize) -> bool {
 /// violations, every amnesia restart recovered from its durable store,
 /// and the exact op count (retries never double-count an operation).
 pub fn passed(params: ChaosParams, run: &ChaosRun) -> bool {
-    run.sidecar.verdict.is_ok() && run.recovered == run.cycles && run.stats.ops == params.ops
+    run.verdict.is_ok() && run.recovered == run.cycles && run.stats.ops == params.ops
 }
 
 /// The E19 table.
@@ -308,12 +296,12 @@ pub fn render(seed: u64, params: ChaosParams, run: &ChaosRun) -> Report {
          replay the victim's write-ahead log",
         params.drop_every, params.crash_cycles,
     ));
-    r.note("every op is atomicity-checked by the sidecar while the workload runs");
+    r.note("every op is atomicity-checked at its wave boundary while the workload runs");
     let stats = &run.stats;
     let wall_s = run.wall.as_secs_f64().max(1e-9);
-    let verdict = match &run.sidecar.verdict {
+    let verdict = match &run.verdict {
         Ok(()) => "ok".to_string(),
-        Err((object, v)) => format!("VIOLATION object {object}: {v}"),
+        Err(v) => format!("VIOLATION {v}"),
     };
     r.headers(["metric", "value"]);
     r.row(["ops", &stats.ops.to_string()]);
@@ -354,12 +342,11 @@ pub fn render(seed: u64, params: ChaosParams, run: &ChaosRun) -> Report {
         "lost unsynced records",
         &run.store.lost_unsynced.to_string(),
     ]);
-    r.row(["retries issued", &run.retries.retries_issued.to_string()]);
-    r.row(["backoff ticks", &run.retries.backoff_ticks.to_string()]);
-    r.row(["retry budget exhausted", &run.retries.exhausted.to_string()]);
+    r.row(["retries issued", &stats.retries.retries_issued.to_string()]);
+    r.row(["backoff ticks", &stats.retries.backoff_ticks.to_string()]);
     r.row([
         "checker ops_checked",
-        &run.sidecar.stats.ops_checked.to_string(),
+        &stats.checker.ops_checked.to_string(),
     ]);
     r.row(["atomicity", &verdict]);
     r
@@ -372,17 +359,17 @@ mod tests {
     /// The quick chaos soak is the acceptance criterion in miniature:
     /// exact op count (no double-counting through retries), every
     /// amnesia restart recovers by replaying its write-ahead log, and
-    /// the sidecar validates every operation violation-free.
+    /// the checkers validate every operation violation-free.
     #[test]
     fn quick_chaos_recovers_every_crash_and_validates_all_ops() {
         let params = ChaosParams::quick();
         let run = run_chaos(11, params);
-        assert!(run.sidecar.verdict.is_ok(), "{:?}", run.sidecar.verdict);
+        assert!(run.verdict.is_ok(), "{:?}", run.verdict);
         assert_eq!(
             run.stats.ops, params.ops,
             "retried ops must not double-count"
         );
-        assert_eq!(run.sidecar.stats.ops_checked, params.ops as u64);
+        assert_eq!(run.stats.checker.ops_checked, params.ops as u64);
         assert_eq!(
             run.recovered, run.cycles,
             "every amnesia restart must replay from its durable store"

@@ -2,22 +2,24 @@
 //! on the threaded runtime:
 //!
 //! - each cell runs the same seeded mixed workload at one per-lane
-//!   client pipeline depth, every operation validated by the checker
-//!   sidecar while the workload runs;
-//! - the report records ops/sec per cell and the speedup over the
-//!   depth-1 baseline cell;
-//! - atomicity is non-negotiable: the binary exits non-zero if *any*
-//!   cell's sidecar reports a violation, so CI can run
-//!   `exp_pipeline --quick --json` as a smoke step.
+//!   client pipeline depth, every operation validated by the streaming
+//!   checkers while the workload runs;
+//! - the report records ops/sec per cell, the speedup over the depth-1
+//!   baseline cell and the watchdog's nudges per 1000 ops;
+//! - atomicity is non-negotiable, and so is a quiet watchdog on these
+//!   fault-free links: the binary exits non-zero if *any* cell reports a
+//!   violation or a re-broadcast storm (the E18 threshold), so CI can
+//!   run `exp_pipeline --quick --json` as a smoke step.
 //!
 //! Per-object SWMR order is preserved at any depth because a lane
 //! issues its pipelined ops in program order and the per-object
 //! sequence tags keep retries from reordering them; the sweep
 //! demonstrates the throughput side of that bargain.
 
+use crate::exp_soak::{nudges_per_kop, NUDGE_STORM_PER_KOP};
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;
-use rqs_kv::{workload, RetryPolicy, RtKv, WorkloadConfig};
+use rqs_kv::{workload, RtKv, WorkloadConfig};
 use rqs_sim::Scenario;
 use std::time::Duration;
 
@@ -106,11 +108,13 @@ pub struct PipelineCell {
     pub envelopes_per_op: f64,
     /// Fraction of ops completing in the paper's fast path.
     pub fast_ratio: f64,
-    /// The sidecar verdict (`None` = atomic).
+    /// Watchdog nudges per 1000 ops.
+    pub nudges_per_kop: f64,
+    /// The checkers' verdict (`None` = atomic).
     pub violation: Option<String>,
 }
 
-/// Runs one depth's cell: threaded runtime, sidecar validation, fresh
+/// Runs one depth's cell: threaded runtime, streaming validation, fresh
 /// deployment.
 pub fn run_cell(seed: u64, params: PipelineParams, depth: usize) -> PipelineCell {
     let rqs = ThresholdConfig::byzantine_fast(1)
@@ -124,23 +128,13 @@ pub fn run_cell(seed: u64, params: PipelineParams, depth: usize) -> PipelineCell
         Duration::from_micros(params.tick_us),
     );
     kv.retain_outcomes(false);
-    kv.enable_checker_sidecar();
     kv.set_pipeline(depth);
-    // Fault-free links: calibrate the watchdog above scheduler jitter
-    // so the sweep measures pipelining, not nudge storms (see
-    // the calibration note in `exp_soak`).
-    kv.set_retry_policy(RetryPolicy {
-        max_retries: 8,
-        base_backoff: 1000,
-        max_backoff: 16_000,
-        deadline: 1 << 22,
-    });
     let cfg = WorkloadConfig::mixed(params.objects, params.clients, params.ops, seed);
     let ops = workload::generate(&cfg);
     let t0 = std::time::Instant::now();
     let stats = kv.run_workload(&ops, params.batch);
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    let sidecar = kv.finish_sidecar().expect("sidecar was enabled");
+    let violation = kv.check_atomicity().err().map(|v| v.to_string());
     kv.shutdown();
     PipelineCell {
         depth,
@@ -149,10 +143,8 @@ pub fn run_cell(seed: u64, params: PipelineParams, depth: usize) -> PipelineCell
         p99: stats.latency_percentile(99.0),
         envelopes_per_op: stats.envelopes_per_op(),
         fast_ratio: stats.rounds.fast_path_ratio(),
-        violation: sidecar
-            .verdict
-            .err()
-            .map(|(object, v)| format!("object {object}: {v}")),
+        nudges_per_kop: nudges_per_kop(&stats),
+        violation,
     }
 }
 
@@ -165,9 +157,11 @@ pub fn run_sweep(seed: u64, params: PipelineParams) -> Vec<PipelineCell> {
         .collect()
 }
 
-/// `true` iff every cell validated atomic.
+/// `true` iff every cell validated atomic and drew no re-broadcast storm.
 pub fn passed(cells: &[PipelineCell]) -> bool {
-    cells.iter().all(|c| c.violation.is_none())
+    cells
+        .iter()
+        .all(|c| c.violation.is_none() && c.nudges_per_kop <= NUDGE_STORM_PER_KOP)
 }
 
 /// The E20 table.
@@ -183,7 +177,7 @@ pub fn render(seed: u64, params: PipelineParams, cells: &[PipelineCell]) -> Repo
     let mut r = Report::new("E20 (hot-path throughput sweep)");
     r.note(format!(
         "{} ops/cell, {} objects, {} clients, batch {}, {}us tick, seed {seed}, \
-         threaded runtime, sidecar-validated",
+         threaded runtime, every op atomicity-checked",
         params.ops, params.objects, params.clients, params.batch, params.tick_us
     ));
     r.note(
@@ -199,6 +193,7 @@ pub fn render(seed: u64, params: PipelineParams, cells: &[PipelineCell]) -> Repo
         "p99",
         "env/op",
         "fast-path",
+        "nudges/kop",
         "atomicity",
     ]);
     for c in cells {
@@ -210,6 +205,7 @@ pub fn render(seed: u64, params: PipelineParams, cells: &[PipelineCell]) -> Repo
             format!("{} ticks", c.p99),
             format!("{:.2}", c.envelopes_per_op),
             format!("{:.2}", c.fast_ratio),
+            format!("{:.1}", c.nudges_per_kop),
             c.violation
                 .clone()
                 .map_or("ok".to_string(), |v| format!("VIOLATION {v}")),
@@ -247,7 +243,7 @@ mod tests {
         };
         let cells = run_sweep(11, params);
         assert_eq!(cells.len(), 2);
-        assert!(passed(&cells), "all cells atomic");
+        assert!(passed(&cells), "all cells atomic and storm-free");
         let r = render(11, params, &cells);
         let text = r.to_string();
         assert!(text.contains("E20"));

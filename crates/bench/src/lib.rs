@@ -24,7 +24,7 @@
 //! | E15 | multi-object KV service (batching + substrates) | [`exp_kv`] |
 //! | E16 | scenario engine × substrates | [`exp_scenarios`] |
 //! | E17 | schedule exploration (model checking) | [`exp_explore`] |
-//! | E18 | streaming-validation soak (threaded + sidecar) | [`exp_soak`] |
+//! | E18 | streaming-validation soak (threaded runtime) | [`exp_soak`] |
 //! | E19 | crash-recovery chaos soak (WAL + amnesia + retries) | [`exp_chaos`] |
 //! | E20 | hot-path throughput sweep (client pipeline depth) | [`exp_pipeline`] |
 //!

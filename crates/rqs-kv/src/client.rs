@@ -23,16 +23,29 @@
 //!   deterministic, and it is not settable;
 //! - completed inner operations are harvested into a flat outcome log
 //!   with object tags, rounds and invocation/response times;
-//! - every in-flight operation carries a retry watchdog: if it has not
-//!   completed when the watchdog fires, the client *nudges* the inner
-//!   automaton — re-broadcasting its current round verbatim via
-//!   [`Writer::resend_round`]/[`Reader::resend_round`] — and re-arms
-//!   with exponential backoff and deterministic jitter, up to a bounded
-//!   retry count and per-op deadline ([`RetryPolicy`]). Nudges never
-//!   re-invoke, so a retried operation keeps its timestamp (writes) or
+//! - a round that outlives its own timer is guarded by a loss watchdog:
+//!   the paper's clients wait for a quorum over reliable channels and
+//!   never resend, so a lossy link or an amnesia crash could stall a
+//!   round for good. A round still short of its outcome one estimated
+//!   round trip after its timer fired (after `round timer + round trip`
+//!   for the untimed last rounds) is *nudged* — re-broadcast verbatim
+//!   via [`Writer::resend_round`]/[`Reader::resend_round`] — and the
+//!   interval doubles per nudge of that round up to a constant cap,
+//!   with a deterministic jitter of up to half the interval. Both
+//!   halves of Karn's rule hold: an ack of a nudged round answers one of
+//!   several broadcasts, so it is never a timer sample, *and* what it
+//!   does reveal — an upper bound on the round trip — governs the
+//!   watchdog until a clean sample arrives, so a link slower than the
+//!   starting guess is learnt in a constant number of rounds. A round
+//!   decided inside its timer arms no watchdog at all. Nudges never
+//!   re-invoke, so a nudged operation keeps its timestamp (writes) or
 //!   read number (reads) and duplicate replies are suppressed by the
-//!   protocol's own stale-ack filters: retried ops stay atomic and are
-//!   never double-counted;
+//!   protocol's own stale-ack filters: nudged ops stay atomic and are
+//!   never double-counted. There is no budget: a lane whose quorum is
+//!   unreachable keeps being nudged at the capped interval until the
+//!   driver's own bound (`await_on`'s step budget on the simulator, the
+//!   op timeout on the runtime) ends the run with the
+//!   [`KvClient::stuck_lanes`] dump. Nothing here is settable;
 //! - with pipelining enabled ([`KvClient::set_pipeline`]), up to N
 //!   operations may be outstanding per `(object, lane)` stream: each
 //!   admitted op is tagged with a client-wide monotone sequence, ops
@@ -127,74 +140,13 @@ struct TimerRoute {
     inner: TimerToken,
 }
 
-/// Retry behaviour of a [`KvClient`].
-///
-/// Delays are in substrate ticks. Retry `k` (zero-based) fires
-/// `min(base_backoff · 2ᵏ, max_backoff)` ticks after the previous
-/// (re)send, plus a deterministic jitter in `[0, base_backoff/2]` hashed
-/// from the client id, object, lane and attempt — so co-started
-/// operations de-synchronise without any nondeterminism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum nudges per operation (`0` disables retries entirely).
-    pub max_retries: u32,
-    /// Delay before the first nudge and base of the exponential curve.
-    pub base_backoff: u64,
-    /// Cap on the exponential delay (jitter may exceed it slightly).
-    pub max_backoff: u64,
-    /// Per-op deadline in ticks since invocation: once exceeded, no
-    /// further nudges are issued (the operation itself stays pending —
-    /// abandoning it would break well-formedness — but the client stops
-    /// spending sends on it and counts it as exhausted).
-    pub deadline: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            // An uncontended op finishes within one CLIENT_TIMEOUT; only
-            // genuinely stuck ops see a nudge.
-            base_backoff: 2 * CLIENT_TIMEOUT,
-            max_backoff: 32 * CLIENT_TIMEOUT,
-            deadline: 4096,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (the pre-hardening behaviour).
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The delay before zero-based retry `attempt`, including jitter.
-    fn backoff(&self, seed: u64, attempt: u32) -> u64 {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.max_backoff);
-        let h = rqs_sim::fnv1a_fold(
-            rqs_sim::fnv1a_fold(rqs_sim::fnv1a(b"kv-retry"), seed),
-            attempt as u64,
-        );
-        exp + h % (self.base_backoff / 2 + 1)
-    }
-}
-
 /// Retry counters of one client (or merged over a deployment).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Nudges (round re-broadcasts) issued.
     pub retries_issued: u64,
-    /// Total ticks waited between a (re)send and the nudge that followed.
+    /// Total ticks the watchdog waited before the nudges it issued.
     pub backoff_ticks: u64,
-    /// Operations whose retry budget (count or deadline) ran out while
-    /// still in flight.
-    pub exhausted: u64,
 }
 
 impl RetryStats {
@@ -202,20 +154,20 @@ impl RetryStats {
     pub fn merge(&mut self, other: &RetryStats) {
         self.retries_issued += other.retries_issued;
         self.backoff_ticks += other.backoff_ticks;
-        self.exhausted += other.exhausted;
     }
 }
 
-/// Watchdog state of one in-flight `(object, lane)` operation.
+/// The armed watchdog of one `(object, lane)` round.
 #[derive(Debug)]
 struct LaneRetry {
-    /// Zero-based index of the *next* retry.
+    /// Nudges this round has had so far.
     attempt: u32,
-    invoked_at: Time,
     /// The armed outer timer token.
     token: u64,
     /// The delay that timer was armed with.
     delay: u64,
+    /// When it fires.
+    due: Time,
 }
 
 /// A backlogged op awaiting launch: `(seq, admitted_at, op)`.
@@ -234,12 +186,28 @@ const RTT_WINDOW: u32 = 256;
 /// an op late.
 const STAMPS_PER_LANE: usize = 4;
 
+/// Doublings of the watchdog interval per round: a silent round is
+/// nudged after 1, 2, 4, … and then every `2^MAX_DOUBLINGS` round trips.
+/// Doubling is what keeps re-broadcasts from feeding the congestion they
+/// mistake for loss; the cap is what keeps recovery from a long outage
+/// (a healed partition, a restarted quorum) within a bounded multiple of
+/// the round trip: sixteen of them.
+const MAX_DOUBLINGS: u32 = 4;
+
+/// The round trip the watchdog assumes before any ack has been timed.
+/// Nothing is known about the link yet, so the guess is on the patient
+/// side: too low costs a re-broadcast on every lane of the first wave,
+/// too high delays recovery from a loss in the very first round by this
+/// much, once.
+const UNSAMPLED_ROUND_TRIP: u64 = 8 * CLIENT_TIMEOUT;
+
 /// The client-wide round-trip estimate, in ticks: the maximum over a
 /// sliding window of samples, kept as two half-window maxima so one
 /// scheduling spike is forgotten instead of ratcheting the timer up for
 /// good. A sample is the time from a round's broadcast to one ack of
 /// that round — a duration on the client's own clock, like a timer, never
-/// an absolute time.
+/// an absolute time. The round timer and the loss watchdog are both read
+/// off it, so neither is settable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RttEstimate {
     /// Maximum over the half-window being filled.
@@ -248,10 +216,16 @@ struct RttEstimate {
     full: u64,
     /// Samples in the half-window being filled.
     filled: u32,
+    /// Largest first-broadcast-to-first-ack time of a *nudged* round
+    /// since the last clean sample: no sample (the ack may answer any of
+    /// the broadcasts), but an upper bound on the round trip all the same.
+    bound: u64,
 }
 
 impl RttEstimate {
+    /// A clean sample: an ack of a round that was broadcast once.
     fn record(&mut self, ticks: u64) {
+        self.bound = 0;
         self.filling = self.filling.max(ticks);
         self.filled += 1;
         if self.filled == RTT_WINDOW {
@@ -259,8 +233,19 @@ impl RttEstimate {
                 filling: 0,
                 full: self.filling,
                 filled: 0,
+                bound: 0,
             };
         }
+    }
+
+    /// The first ack a round drew after being nudged, `ticks` after its
+    /// first broadcast (Karn's second half).
+    fn record_bound(&mut self, ticks: u64) {
+        self.bound = self.bound.max(ticks);
+    }
+
+    fn estimate(&self) -> u64 {
+        self.filling.max(self.full)
     }
 
     /// The round timer for the next op: one and a half observed round
@@ -270,8 +255,34 @@ impl RttEstimate {
     /// fast-path ratio at 1: the maximum of the *last* window is only an
     /// estimate of the *next* round's slowest ack.
     fn round_timeout(&self) -> u64 {
-        let est = self.filling.max(self.full);
+        let est = self.estimate();
         CLIENT_TIMEOUT.max(est + est / 2 + 1)
+    }
+
+    /// The round trip the watchdog goes by: the estimate, or the bound
+    /// nudged rounds have put on it while that is all there is — without
+    /// it a link slower than the estimate would never be learnt, every
+    /// round being nudged before its ack can become a sample. A reading
+    /// of zero says nothing about the link: no ack has been timed yet, or
+    /// round trips are shorter than a tick.
+    fn round_trip(&self) -> u64 {
+        match self.estimate().max(self.bound) {
+            0 => UNSAMPLED_ROUND_TRIP,
+            seen => seen.max(CLIENT_TIMEOUT),
+        }
+    }
+
+    /// How long a silent round waits for its next nudge after `nudges`
+    /// of them, jitter included: up to half the interval again, hashed
+    /// from `seed` and `nudges` so that co-started lanes de-synchronise
+    /// without any nondeterminism.
+    fn nudge_delay(&self, seed: u64, nudges: u32) -> u64 {
+        let interval = self.round_trip() << nudges.min(MAX_DOUBLINGS);
+        let h = rqs_sim::fnv1a_fold(
+            rqs_sim::fnv1a_fold(rqs_sim::fnv1a(b"kv-retry"), seed),
+            nudges as u64,
+        );
+        interval + h % (interval / 2 + 1)
     }
 }
 
@@ -288,14 +299,27 @@ fn round_key(msg: &StorageMsg) -> RoundKey {
     }
 }
 
-/// When a round was broadcast, and whether its acks may be sampled.
+/// What the next ack of a round says about the round trip (Karn's rule).
+#[derive(Debug, PartialEq, Eq)]
+enum AckWorth {
+    /// The round was broadcast once: the ack times one round trip.
+    Sample,
+    /// The watchdog re-broadcast the round: the ack can no longer be
+    /// paired with one send, but the round trip is at most the time since
+    /// the first.
+    Bound,
+    /// That bound has been taken. The re-acks a nudge draws from servers
+    /// that had already answered say nothing new, and the time since the
+    /// first broadcast only grows.
+    Nothing,
+}
+
+/// When a round was first broadcast, and what its acks are worth.
 #[derive(Debug)]
 struct RoundStamp {
     key: RoundKey,
     sent_at: Time,
-    /// The watchdog re-broadcast this round: an ack can no longer be
-    /// paired with one send, so it contributes no sample (Karn's rule).
-    nudged: bool,
+    acks: AckWorth,
 }
 
 fn lane_bit(lane: Lane) -> u64 {
@@ -335,10 +359,9 @@ pub struct KvClient {
     taken_r: BTreeMap<ObjectId, usize>,
     outcomes: Vec<KvOutcome>,
     in_flight: usize,
-    retry: RetryPolicy,
-    /// Outer retry-watchdog token → the lane it guards.
+    /// Outer watchdog token → the lane it guards.
     retry_timers: BTreeMap<u64, (ObjectId, Lane)>,
-    /// Watchdog state per in-flight lane.
+    /// The armed watchdog of each lane whose round outlived its timer.
     lane_retry: BTreeMap<(ObjectId, Lane), LaneRetry>,
     retry_stats: RetryStats,
     /// Structured-trace handle; per-object copies (tagged with the object
@@ -386,7 +409,6 @@ impl KvClient {
             taken_r: BTreeMap::new(),
             outcomes: Vec::new(),
             in_flight: 0,
-            retry: RetryPolicy::default(),
             retry_timers: BTreeMap::new(),
             lane_retry: BTreeMap::new(),
             retry_stats: RetryStats::default(),
@@ -413,29 +435,6 @@ impl KvClient {
             r.set_obs(obs.with_tag(obj.0));
         }
         self.obs = obs;
-    }
-
-    /// Like [`KvClient::new`] with an explicit [`RetryPolicy`].
-    pub fn with_retry(
-        rqs: Arc<Rqs>,
-        servers: Vec<NodeId>,
-        owned: impl IntoIterator<Item = ObjectId>,
-        retry: RetryPolicy,
-    ) -> Self {
-        let mut c = KvClient::new(rqs, servers, owned);
-        c.retry = retry;
-        c
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Replaces the retry policy (affects operations invoked afterwards;
-    /// already-armed watchdogs keep their delays).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Retry counters accumulated so far.
@@ -482,17 +481,21 @@ impl KvClient {
 
     /// Debug rendering of every non-idle `(object, lane)` inner
     /// automaton — the first thing to look at when a wave stalls: the
-    /// dump shows the stuck round and which servers' acks are missing.
-    pub fn stuck_lanes(&self) -> Vec<String> {
+    /// dump shows the stuck round and which servers' acks are missing,
+    /// followed by what the watchdog knows at `now` and so why the client
+    /// is or is not re-sending.
+    pub fn stuck_lanes(&self, now: Time) -> Vec<String> {
         let mut lanes = Vec::new();
         for (obj, w) in &self.writers {
             if !w.is_idle() {
                 lanes.push(format!("{obj} writer: {w:?}"));
+                lanes.push(self.watchdog_line(*obj, Lane::Writer, now));
             }
         }
         for (obj, r) in &self.readers {
             if !r.is_idle() {
                 lanes.push(format!("{obj} reader: {r:?}"));
+                lanes.push(self.watchdog_line(*obj, Lane::Reader, now));
             }
         }
         for ((obj, lane), q) in &self.backlog {
@@ -501,6 +504,25 @@ impl KvClient {
             }
         }
         lanes
+    }
+
+    fn watchdog_line(&self, object: ObjectId, lane: Lane, now: Time) -> String {
+        let next = match self.lane_retry.get(&(object, lane)) {
+            Some(st) => format!(
+                "next nudge in {} ticks",
+                st.due.ticks().saturating_sub(now.ticks())
+            ),
+            None => "round inside its timer, no nudge due".to_string(),
+        };
+        format!(
+            "{object} {lane:?} watchdog: round trip {} ticks (estimate {}, nudged-round bound {}), \
+             round timer {}, {} nudges, {next}",
+            self.rtt.round_trip(),
+            self.rtt.estimate(),
+            self.rtt.bound,
+            self.rtt.round_timeout(),
+            self.lane_nudges.get(&(object, lane)).copied().unwrap_or(0),
+        )
     }
 
     /// Starts a batch of operations in one step: all their round-1
@@ -585,7 +607,6 @@ impl KvClient {
                 let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
                 writer.start_write(value, &mut inner);
                 self.absorb(object, Lane::Writer, inner, ctx);
-                self.arm_retry(object, Lane::Writer, ctx);
             }
             KvOp::Read { object } => {
                 let (rqs, servers, obs) = (&self.rqs, &self.servers, &self.obs);
@@ -598,7 +619,6 @@ impl KvClient {
                 let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
                 reader.start_read(&mut inner);
                 self.absorb(object, Lane::Reader, inner, ctx);
-                self.arm_retry(object, Lane::Reader, ctx);
             }
         }
     }
@@ -621,7 +641,10 @@ impl KvClient {
 
     /// Folds one inner step's outputs into the client state: buffers
     /// sends, re-arms timers on the outer context, forwards cancellations
-    /// and harvests newly completed operations.
+    /// and harvests newly completed operations. A new round takes the
+    /// watchdog off the one it succeeds; if it has no timer of its own
+    /// (the last round of an op waits for a quorum and nothing else) its
+    /// watchdog is armed here, one round timer out.
     fn absorb(
         &mut self,
         object: ObjectId,
@@ -631,8 +654,14 @@ impl KvClient {
     ) {
         self.inner_counter = inner.timer_counter_snapshot();
         let (outbox, timers, cancelled) = inner.into_outputs();
-        if let Some((_, msg)) = outbox.first() {
-            self.stamp_round(object, lane, round_key(msg), ctx.now());
+        let fresh = outbox
+            .first()
+            .is_some_and(|(_, msg)| self.stamp_round(object, lane, round_key(msg), ctx.now()));
+        if fresh {
+            self.disarm_watchdog(object, lane, ctx);
+            if timers.is_empty() {
+                self.arm_watchdog(object, lane, 0, self.rtt.round_timeout(), ctx);
+            }
         }
         self.pending.absorb(object, lane, outbox);
         for (delay, inner_token) in timers {
@@ -654,17 +683,24 @@ impl KvClient {
             }
         }
         self.harvest(object, lane);
-        self.settle_retry(object, lane, ctx);
+        if self.lane_idle(object, lane) {
+            self.disarm_watchdog(object, lane, ctx);
+        }
         self.pump(object, lane, ctx);
     }
 
-    /// Notes that `(object, lane)` broadcast round `key` now. An inner
-    /// automaton broadcasts a round once; seeing the lane's newest round
-    /// again means the watchdog nudged it.
-    fn stamp_round(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) {
+    /// Notes that `(object, lane)` broadcast round `key` now; `true` iff
+    /// the round is new. An inner automaton broadcasts a round once:
+    /// seeing the lane's newest round again means the watchdog nudged it.
+    fn stamp_round(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) -> bool {
         let stamps = self.round_stamps.entry((object, lane)).or_default();
         match stamps.back_mut() {
-            Some(newest) if newest.key == key => newest.nudged = true,
+            Some(newest) if newest.key == key => {
+                if newest.acks == AckWorth::Sample {
+                    newest.acks = AckWorth::Bound;
+                }
+                false
+            }
             _ => {
                 if stamps.len() == STAMPS_PER_LANE {
                     stamps.pop_front();
@@ -672,24 +708,38 @@ impl KvClient {
                 stamps.push_back(RoundStamp {
                     key,
                     sent_at: now,
-                    nudged: false,
+                    acks: AckWorth::Sample,
                 });
+                true
             }
         }
     }
 
+    /// The round `(object, lane)` broadcast last.
+    fn newest_round(&self, object: ObjectId, lane: Lane) -> Option<RoundKey> {
+        let stamps = self.round_stamps.get(&(object, lane))?;
+        stamps.back().map(|s| s.key)
+    }
+
     /// Feeds the estimate with an ack's round trip, if the round it
-    /// answers is still remembered and was broadcast exactly once. Acks
-    /// count whether or not the round is still open: one that lands after
-    /// its timer fired is the sample a too-small timer needs to grow.
+    /// answers is still remembered: a sample when the round was broadcast
+    /// exactly once, an upper bound (once) when the watchdog re-broadcast
+    /// it. Acks count whether or not the round is still open: one that
+    /// lands after its timer fired is the sample a too-small timer needs
+    /// to grow.
     fn sample_ack(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) {
-        let Some(stamps) = self.round_stamps.get(&(object, lane)) else {
+        let Some(stamps) = self.round_stamps.get_mut(&(object, lane)) else {
             return;
         };
-        if let Some(stamp) = stamps.iter().rev().find(|s| s.key == key) {
-            if !stamp.nudged {
-                self.rtt
-                    .record(now.ticks().saturating_sub(stamp.sent_at.ticks()));
+        if let Some(stamp) = stamps.iter_mut().rev().find(|s| s.key == key) {
+            let ticks = now.ticks().saturating_sub(stamp.sent_at.ticks());
+            match stamp.acks {
+                AckWorth::Sample => self.rtt.record(ticks),
+                AckWorth::Bound => {
+                    self.rtt.record_bound(ticks);
+                    stamp.acks = AckWorth::Nothing;
+                }
+                AckWorth::Nothing => {}
             }
         }
     }
@@ -703,63 +753,48 @@ impl KvClient {
         }
     }
 
-    /// Arms the retry watchdog for a just-invoked operation.
-    fn arm_retry(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        if self.retry.max_retries == 0 || self.lane_idle(object, lane) {
-            return;
-        }
-        let delay = self.retry_delay(object, lane, ctx.me(), 0);
+    /// Arms the lane's watchdog for the nudge after `nudges` earlier ones
+    /// of its current round, `lead` ticks later than the interval alone.
+    fn arm_watchdog(
+        &mut self,
+        object: ObjectId,
+        lane: Lane,
+        nudges: u32,
+        lead: u64,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        let seed = rqs_sim::fnv1a_fold(
+            rqs_sim::fnv1a_fold(ctx.me().0 as u64, object.0),
+            lane_bit(lane),
+        );
+        let delay = lead + self.rtt.nudge_delay(seed, nudges);
         let token = ctx.set_timer(delay);
         self.retry_timers.insert(token.0, (object, lane));
         self.lane_retry.insert(
             (object, lane),
             LaneRetry {
-                attempt: 0,
-                invoked_at: ctx.now(),
+                attempt: nudges,
                 token: token.0,
                 delay,
+                due: Time(ctx.now().ticks() + delay),
             },
         );
     }
 
-    /// Cancels the watchdog once its operation has completed.
-    fn settle_retry(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        if !self.lane_idle(object, lane) {
-            return;
-        }
+    /// Takes the lane's watchdog off: its round ended.
+    fn disarm_watchdog(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
         if let Some(st) = self.lane_retry.remove(&(object, lane)) {
             self.retry_timers.remove(&st.token);
             ctx.cancel_timer(TimerToken(st.token));
         }
     }
 
-    fn retry_seed(&self, object: ObjectId, lane: Lane, me: NodeId) -> u64 {
-        rqs_sim::fnv1a_fold(rqs_sim::fnv1a_fold(me.0 as u64, object.0), lane_bit(lane))
-    }
-
-    /// Watchdog delay for `attempt`, scaled by the pipeline depth: a
-    /// deeper pipeline queues proportionally more self-induced work
-    /// ahead of every reply, and nudging at single-op cadence under
-    /// that queueing turns the watchdog into a re-broadcast storm that
-    /// feeds the very congestion it mistakes for loss. Depth 1
-    /// multiplies by one, so the classic watchdog schedule is
-    /// untouched.
-    fn retry_delay(&self, object: ObjectId, lane: Lane, me: NodeId, attempt: u32) -> u64 {
-        self.retry
-            .backoff(self.retry_seed(object, lane, me), attempt)
-            .saturating_mul(self.pipeline as u64)
-    }
-
-    /// Watchdog expiry: nudge the still-pending operation (re-broadcast
-    /// its current round — never re-invoke) and re-arm with exponential
-    /// backoff until the retry count or deadline runs out.
-    fn fire_retry(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        let Some(mut st) = self.lane_retry.remove(&(object, lane)) else {
-            return; // already settled
+    /// Watchdog expiry: nudge the still-silent round (re-broadcast it —
+    /// never re-invoke) and re-arm at twice the interval, up to the cap.
+    fn fire_watchdog(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
+        let Some(st) = self.lane_retry.remove(&(object, lane)) else {
+            return; // kept in step with `retry_timers`
         };
-        if self.lane_idle(object, lane) {
-            return; // completed in the same step the timer fired
-        }
         self.retry_stats.retries_issued += 1;
         self.retry_stats.backoff_ticks += st.delay;
         *self.lane_nudges.entry((object, lane)).or_insert(0) += 1;
@@ -786,19 +821,8 @@ impl KvClient {
         };
         if resent {
             self.absorb(object, lane, inner, ctx);
+            self.arm_watchdog(object, lane, st.attempt + 1, 0, ctx);
         }
-        st.attempt += 1;
-        let elapsed = ctx.now().ticks().saturating_sub(st.invoked_at.ticks());
-        if st.attempt >= self.retry.max_retries || elapsed >= self.retry.deadline {
-            self.retry_stats.exhausted += 1;
-            return; // budget spent: the op stays on protocol liveness alone
-        }
-        let delay = self.retry_delay(object, lane, ctx.me(), st.attempt);
-        let token = ctx.set_timer(delay);
-        st.token = token.0;
-        st.delay = delay;
-        self.retry_timers.insert(token.0, (object, lane));
-        self.lane_retry.insert((object, lane), st);
     }
 
     /// Pulls newly completed outcomes from the inner automaton on
@@ -932,7 +956,8 @@ impl Automaton<KvBatch> for KvClient {
         }
         acc = rqs_sim::fnv1a_fold(acc, self.retry_stats.retries_issued);
         acc = rqs_sim::fnv1a_fold(acc, self.next_seq);
-        for part in [self.rtt.filling, self.rtt.full, self.rtt.filled as u64] {
+        let rtt = &self.rtt;
+        for part in [rtt.filling, rtt.full, rtt.filled as u64, rtt.bound] {
             acc = rqs_sim::fnv1a_fold(acc, part);
         }
         for ((obj, lane), q) in &self.backlog {
@@ -958,7 +983,7 @@ impl Automaton<KvBatch> for KvClient {
 
     fn on_timer(&mut self, timer: TimerToken, ctx: &mut Context<KvBatch>) {
         if let Some((object, lane)) = self.retry_timers.remove(&timer.0) {
-            self.fire_retry(object, lane, ctx);
+            self.fire_watchdog(object, lane, ctx);
             self.flush(ctx);
             return;
         }
@@ -966,6 +991,7 @@ impl Automaton<KvBatch> for KvClient {
             return; // cancelled or unknown
         };
         self.timer_back.remove(&route.inner.0);
+        let timed = self.newest_round(route.object, route.lane);
         match route.lane {
             Lane::Writer => {
                 if let Some(writer) = self.writers.get_mut(&route.object) {
@@ -981,6 +1007,14 @@ impl Automaton<KvBatch> for KvClient {
                     self.absorb(route.object, Lane::Reader, inner, ctx);
                 }
             }
+        }
+        // The round outlived its timer (no quorum to classify yet): from
+        // here on it waits for acks alone, so the watchdog takes over. A
+        // round decided inside its timer never gets this far.
+        if !self.lane_idle(route.object, route.lane)
+            && self.newest_round(route.object, route.lane) == timed
+        {
+            self.arm_watchdog(route.object, route.lane, 0, 0, ctx);
         }
         self.flush(ctx);
     }
@@ -1032,9 +1066,9 @@ mod tests {
         for (_, batch) in cx.sent() {
             assert_eq!(batch.len(), 2);
         }
-        // 2 inner round timers re-armed on the outer context, plus one
-        // retry watchdog per op.
-        assert_eq!(cx.armed_timers().len(), 4);
+        // 2 inner round timers re-armed on the outer context, and nothing
+        // else: a round inside its timer has no watchdog.
+        assert_eq!(cx.armed_timers().len(), 2);
     }
 
     #[test]
@@ -1091,70 +1125,64 @@ mod tests {
         }])
     }
 
-    fn stuck_write_client(policy: RetryPolicy) -> (KvClient, Context<KvBatch>) {
-        let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
-        let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
-        let mut c = KvClient::with_retry(rqs, servers, [ObjectId(0)], policy);
-        let mut cx = ctx();
-        c.start_ops(
-            vec![KvOp::Write {
-                object: ObjectId(0),
-                value: Value::from(1u64),
-            }],
-            &mut cx,
-        );
-        (c, cx)
+    /// Object 0's write 1 launched at t0, and its round timer.
+    fn stuck_write_client() -> (KvClient, TimerToken) {
+        let mut c = client();
+        let (timeout, timer) = launch_write(&mut c, 1, 0);
+        assert_eq!(timeout, CLIENT_TIMEOUT);
+        (c, timer)
+    }
+
+    /// Fires `timer` at `at`; returns what the step sent and armed.
+    fn fire(c: &mut KvClient, timer: TimerToken, at: u64) -> Context<KvBatch> {
+        let mut cx = Context::new(NodeId(5), Time(at), 1000 * (at + 1));
+        c.on_timer(timer, &mut cx);
+        cx
     }
 
     #[test]
     fn watchdog_nudges_stuck_op_with_exponential_backoff() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff: 10,
-            max_backoff: 40,
-            deadline: 10_000,
-        };
-        let (mut c, cx) = stuck_write_client(policy);
-        // Two timers armed: the inner round timer, then the watchdog.
-        let timers = cx.armed_timers().to_vec();
-        assert_eq!(timers.len(), 2);
-        let (delay0, watchdog) = timers[1];
-        assert!((10..=15).contains(&delay0), "base + jitter ≤ base/2");
-        // No acks ever arrive; fire the watchdog: round 1 is re-broadcast.
-        let mut now = delay0;
-        let mut cx2 = Context::new(NodeId(5), Time(now), 1000);
-        c.on_timer(watchdog, &mut cx2);
-        assert_eq!(c.retry_stats().retries_issued, 1);
-        assert_eq!(c.retry_stats().backoff_ticks, delay0);
-        assert_eq!(cx2.sent().len(), 5, "nudge re-broadcast to all servers");
-        for (_, batch) in cx2.sent() {
-            assert_eq!(batch.len(), 1);
+        let (mut c, round_timer) = stuck_write_client();
+        // No ack ever arrives. The round timer finds no quorum to
+        // classify, so the round waits on, now under the watchdog: one
+        // (unsampled) round trip out, plus at most half of that.
+        let mut now = CLIENT_TIMEOUT;
+        let cx = fire(&mut c, round_timer, now);
+        assert!(cx.sent().is_empty());
+        assert_eq!(cx.armed_timers().len(), 1);
+        let (mut delay, mut watchdog) = cx.armed_timers()[0];
+        let mut waited = 0;
+        for nudges in 0..MAX_DOUBLINGS + 3 {
+            let interval = UNSAMPLED_ROUND_TRIP << nudges.min(MAX_DOUBLINGS);
+            assert!(
+                (interval..=interval + interval / 2).contains(&delay),
+                "nudge {nudges}: {delay} not in {interval} + jitter"
+            );
+            now += delay;
+            waited += delay;
+            let cx = fire(&mut c, watchdog, now);
+            assert_eq!(cx.sent().len(), 5, "round 1 re-broadcast to all servers");
+            for (_, batch) in cx.sent() {
+                assert_eq!(batch.len(), 1);
+            }
+            assert_eq!(c.retry_stats().retries_issued, nudges as u64 + 1);
+            assert_eq!(c.retry_stats().backoff_ticks, waited);
+            // Re-armed every time: there is no budget to run out of.
+            assert_eq!(cx.armed_timers().len(), 1);
+            (delay, watchdog) = cx.armed_timers()[0];
         }
-        // The next watchdog delay doubled (modulo jitter).
-        let next = cx2.armed_timers().to_vec();
-        assert_eq!(next.len(), 1);
-        let (delay1, watchdog1) = next[0];
-        assert!((20..=25).contains(&delay1), "2·base + jitter");
-        // Retry 2, then retry 3 exhausts the budget: no further timer.
-        now += delay1;
-        let mut cx3 = Context::new(NodeId(5), Time(now), 2000);
-        c.on_timer(watchdog1, &mut cx3);
-        let (delay2, watchdog2) = cx3.armed_timers()[0];
-        assert!((40..=45).contains(&delay2), "capped at max_backoff");
-        now += delay2;
-        let mut cx4 = Context::new(NodeId(5), Time(now), 3000);
-        c.on_timer(watchdog2, &mut cx4);
-        assert_eq!(c.retry_stats().retries_issued, 3);
-        assert_eq!(c.retry_stats().exhausted, 1);
-        assert!(cx4.armed_timers().is_empty(), "budget spent: no re-arm");
         assert_eq!(c.in_flight(), 1, "the op itself is never abandoned");
     }
 
     #[test]
     fn watchdog_backoff_is_deterministic() {
         let run = || {
-            let (c, cx) = stuck_write_client(RetryPolicy::default());
+            let (mut c, round_timer) = stuck_write_client();
+            let cx = fire(&mut c, round_timer, CLIENT_TIMEOUT);
+            let (delay, watchdog) = cx.armed_timers()[0];
+            let cx = fire(&mut c, watchdog, CLIENT_TIMEOUT + delay);
             (
+                delay,
                 cx.armed_timers().to_vec(),
                 c.retry_stats(),
                 c.state_digest(),
@@ -1165,34 +1193,91 @@ mod tests {
 
     #[test]
     fn completed_op_cancels_watchdog_and_counts_once() {
-        let (mut c, cx) = stuck_write_client(RetryPolicy::default());
-        let (_, watchdog) = cx.armed_timers()[1];
-        // A class-1 quorum acks: the round is decided and the op done.
+        let (mut c, round_timer) = stuck_write_client();
+        let (_, watchdog) = fire(&mut c, round_timer, CLIENT_TIMEOUT).armed_timers()[0];
+        // Three acks land after the timer: a quorum, so round 1 ends (in
+        // favour of round 2, with its own timer) and its watchdog goes.
         let mut cancelled = Vec::new();
-        for i in 0..4 {
-            let mut cxa = Context::new(NodeId(5), Time(2), 100 + i as u64);
+        for i in 0..3 {
+            let mut cxa = Context::new(NodeId(5), Time(5), 100 + i as u64);
             c.on_message(NodeId(i), wr_ack(1), &mut cxa);
             cancelled.extend_from_slice(cxa.cancelled_timers());
         }
+        assert!(cancelled.contains(&watchdog), "a round's end cancels it");
+        // A stale watchdog expiry is inert: no resend, no count.
+        let cxs = fire(&mut c, watchdog, 6);
+        assert!(cxs.sent().is_empty() && cxs.armed_timers().is_empty());
+        // Round 2 is decided inside its timer and completes the op.
+        for i in 0..3 {
+            let ack = KvBatch(vec![KvItem {
+                object: ObjectId(0),
+                lane: Lane::Writer,
+                msg: StorageMsg::WrAck { ts: 1, rnd: 2 },
+            }]);
+            c.on_message(NodeId(i), ack, &mut Context::new(NodeId(5), Time(7), 300));
+        }
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.outcomes().len(), 1);
-        assert!(
-            cancelled.contains(&watchdog),
-            "completion cancels the watchdog"
-        );
-        // A stale watchdog expiry is inert: no resend, no double-count.
-        let mut cxs = Context::new(NodeId(5), Time(9), 600);
-        c.on_timer(watchdog, &mut cxs);
-        assert!(cxs.sent().is_empty());
-        assert_eq!(c.retry_stats().retries_issued, 0);
-        assert_eq!(c.outcomes().len(), 1);
+        assert_eq!(c.outcomes()[0].retries, 0);
+        assert_eq!(c.retry_stats(), RetryStats::default());
+        assert!(c.lane_retry.is_empty() && c.retry_timers.is_empty());
     }
 
     #[test]
-    fn disabled_policy_arms_no_watchdog() {
-        let (c, cx) = stuck_write_client(RetryPolicy::disabled());
-        assert_eq!(cx.armed_timers().len(), 1, "only the inner round timer");
+    fn a_round_decided_inside_its_timer_arms_no_watchdog() {
+        let (mut c, round_timer) = stuck_write_client();
+        for i in 0..4 {
+            let mut cxa = Context::new(NodeId(5), Time(2), 100 + i as u64);
+            c.on_message(NodeId(i), wr_ack(1), &mut cxa);
+            assert!(cxa.armed_timers().is_empty());
+            if i == 3 {
+                assert_eq!(cxa.cancelled_timers(), &[round_timer]);
+            }
+        }
+        assert_eq!(c.outcomes().len(), 1);
         assert_eq!(c.retry_stats(), RetryStats::default());
+    }
+
+    #[test]
+    fn an_untimed_last_round_is_guarded_from_its_broadcast() {
+        let (mut c, round_timer) = stuck_write_client();
+        let ack = |rnd| {
+            KvBatch(vec![KvItem {
+                object: ObjectId(0),
+                lane: Lane::Writer,
+                msg: StorageMsg::WrAck { ts: 1, rnd },
+            }])
+        };
+        // Round 1: the timer classifies {0,1,2}, a class-2 quorum.
+        for i in 0..3 {
+            c.on_message(
+                NodeId(i),
+                ack(1),
+                &mut Context::new(NodeId(5), Time(2), 100),
+            );
+        }
+        let cx = fire(&mut c, round_timer, 3);
+        let (_, round2_timer) = cx.armed_timers()[0];
+        assert_eq!(cx.armed_timers().len(), 1, "round 2 has its own timer");
+        // Round 2: {2,3,4} is a quorum, but not the one round 1 named.
+        for i in 2..5 {
+            c.on_message(
+                NodeId(i),
+                ack(2),
+                &mut Context::new(NodeId(5), Time(5), 200),
+            );
+        }
+        // Round 3 has no timer, so its watchdog is armed with it: a
+        // round timer plus the first interval out.
+        let cx = fire(&mut c, round2_timer, 7);
+        assert_eq!(cx.sent().len(), 5);
+        assert_eq!(cx.armed_timers().len(), 1);
+        let (delay, watchdog) = cx.armed_timers()[0];
+        let first = c.rtt.round_timeout() + c.rtt.round_trip();
+        assert!((first..=first + c.rtt.round_trip() / 2).contains(&delay));
+        let cx = fire(&mut c, watchdog, 7 + delay);
+        assert_eq!(cx.sent().len(), 5, "round 3 re-broadcast");
+        assert_eq!(c.retry_stats().retries_issued, 1);
     }
 
     #[test]
@@ -1299,17 +1384,34 @@ mod tests {
 
     #[test]
     fn a_nudged_round_contributes_no_sample() {
-        let (mut c, cx) = stuck_write_client(RetryPolicy::default());
-        let (delay, watchdog) = cx.armed_timers()[1];
-        c.on_timer(watchdog, &mut Context::new(NodeId(5), Time(delay), 100));
+        let (mut c, round_timer) = stuck_write_client();
+        let (delay, watchdog) = fire(&mut c, round_timer, CLIENT_TIMEOUT).armed_timers()[0];
+        let nudged_at = CLIENT_TIMEOUT + delay;
+        fire(&mut c, watchdog, nudged_at);
         assert_eq!(c.retry_stats().retries_issued, 1);
-        // An ack now answers either broadcast: ambiguous, so unsampled.
-        for i in 0..4 {
-            let mut cxa = Context::new(NodeId(5), Time(delay + 2), 200 + i as u64);
+        // An ack now answers either broadcast: ambiguous, so unsampled —
+        // but the round trip cannot be longer than the time since the
+        // first one, and the watchdog goes by that.
+        for i in 0..3 {
+            let mut cxa = Context::new(NodeId(5), Time(nudged_at + 2), 200 + i as u64);
             c.on_message(NodeId(i), wr_ack(1), &mut cxa);
         }
-        assert_eq!(c.outcomes().len(), 1);
-        assert_eq!(c.rtt, RttEstimate::default());
+        assert_eq!((c.rtt.filled, c.rtt.estimate()), (0, 0));
+        assert_eq!(c.rtt.round_timeout(), CLIENT_TIMEOUT);
+        assert_eq!(c.rtt.round_trip(), nudged_at + 2);
+        // The first clean sample (round 2, broadcast once) replaces it.
+        let ack = KvBatch(vec![KvItem {
+            object: ObjectId(0),
+            lane: Lane::Writer,
+            msg: StorageMsg::WrAck { ts: 1, rnd: 2 },
+        }]);
+        c.on_message(
+            NodeId(0),
+            ack,
+            &mut Context::new(NodeId(5), Time(nudged_at + 9), 300),
+        );
+        assert_eq!((c.rtt.filled, c.rtt.bound), (1, 0));
+        assert_eq!(c.rtt.round_trip(), 7);
     }
 
     #[test]

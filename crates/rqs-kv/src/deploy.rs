@@ -28,7 +28,7 @@ use crate::server::{ByzantineMode, KvByzantineServer, KvServer};
 use crate::workload::{per_client, take_wave_depth, WorkloadOp};
 use rqs_core::Rqs;
 use rqs_obs::{classify, dump_json, NopTracer, Obs, ObsHandle, TraceEvent};
-use rqs_runtime::{CheckerSidecar, Runtime, SidecarReport};
+use rqs_runtime::Runtime;
 use rqs_sim::{
     Automaton, CrashMode, NodeId, Scenario, Substrate, SubstrateConfig, World, DEFAULT_AWAIT_STEPS,
 };
@@ -82,9 +82,6 @@ pub struct KvDeployment<S: Substrate<KvBatch>> {
     checkers: BTreeMap<ObjectId, AtomicityChecker>,
     /// Whether harvested outcomes are kept in `completed`.
     retain_outcomes: bool,
-    /// When set, harvested records go to this checker thread instead of
-    /// the in-line `checkers` (threaded-runtime sidecar mode).
-    sidecar: Option<CheckerSidecar>,
     /// Per-server durable stores (empty for volatile deployments).
     stores: Vec<StoreHandle>,
     /// Shared structured-trace sink (the zero-overhead [`NopTracer`]
@@ -238,7 +235,6 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
             harvested: vec![0; clients],
             checkers: BTreeMap::new(),
             retain_outcomes: true,
-            sidecar: None,
             stores,
             tracer,
             fault_windows,
@@ -333,15 +329,6 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
         acc
     }
 
-    /// Sets the retry policy of every client (call before running a
-    /// workload; in-flight watchdogs keep their delays).
-    pub fn set_retry_policy(&mut self, policy: crate::client::RetryPolicy) {
-        for &c in &self.clients.clone() {
-            self.sub
-                .invoke_on::<KvClient>(c, move |k, _| k.set_retry_policy(policy));
-        }
-    }
-
     /// Sets the per-lane pipeline depth of every client (call before
     /// running a workload). Waves grow to `batch × depth` operations so
     /// the extra in-flight slots are actually used; depth 1 is the
@@ -432,11 +419,13 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
                     // Before panicking, dump the stuck inner automata as
                     // one structured JSON report with the flight-recorder
                     // tail attached: the rounds and ack sets say which
-                    // servers went silent, and the recorded deliver/drop
+                    // servers went silent, the watchdog lines what the
+                    // client did about it, and the recorded deliver/drop
                     // history says why.
+                    let now = self.sub.now_ticks();
                     let lanes = self
                         .sub
-                        .inspect_on::<KvClient, Vec<String>>(c, |k| k.stuck_lanes());
+                        .inspect_on::<KvClient, Vec<String>>(c, move |k| k.stuck_lanes(now));
                     let details = [("client", c.0.to_string()), ("lanes", lanes.join(" | "))];
                     eprintln!(
                         "{}",
@@ -461,16 +450,15 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
         stats.retries = RetryStats {
             retries_issued: retries_after.retries_issued - retries_before.retries_issued,
             backoff_ticks: retries_after.backoff_ticks - retries_before.backoff_ticks,
-            exhausted: retries_after.exhausted - retries_before.exhausted,
         };
         stats
     }
 
     /// Harvests every client's new outcomes into the run stats and the
-    /// per-object streaming checkers (or the sidecar, when enabled), then
-    /// advances each checker's retirement watermark: the wave boundary is
-    /// a quiescent point, so every future operation is invoked at or
-    /// after any completion seen so far.
+    /// per-object streaming checkers, then advances each checker's
+    /// retirement watermark: the wave boundary is a quiescent point, so
+    /// every future operation is invoked at or after any completion seen
+    /// so far.
     fn harvest_wave(&mut self, stats: &mut KvRunStats) {
         for (ci, &node) in self.clients.clone().iter().enumerate() {
             let skip = self.harvested[ci];
@@ -508,30 +496,18 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
                     invoked_at: out.invoked_at,
                     completed_at: out.completed_at,
                 };
-                match &self.sidecar {
-                    Some(sidecar) => sidecar.observe(out.object.0, rec),
-                    None => {
-                        self.checkers.entry(out.object).or_default().observe(&rec);
-                    }
-                }
+                self.checkers.entry(out.object).or_default().observe(&rec);
                 if self.retain_outcomes {
                     self.completed.push((ci, out));
                 }
             }
         }
-        match &self.sidecar {
-            Some(sidecar) => sidecar.retire_settled(),
-            None => {
-                for c in self.checkers.values_mut() {
-                    c.retire_settled();
-                }
-            }
+        for c in self.checkers.values_mut() {
+            c.retire_settled();
         }
     }
 
-    /// Aggregated counters of the per-object streaming checkers (empty
-    /// while a sidecar owns the checking — see
-    /// [`SidecarReport`]).
+    /// Aggregated counters of the per-object streaming checkers.
     pub fn checker_stats(&self) -> CheckerStats {
         let mut agg = CheckerStats::default();
         for c in self.checkers.values() {
@@ -566,9 +542,6 @@ impl<S: Substrate<KvBatch>> KvDeployment<S> {
     /// substrates: wall-clock invocation/response ticks only widen the
     /// apparent concurrency windows, which never invalidates a real-time
     /// linearization.
-    ///
-    /// When a sidecar owns the checking, the verdict lives in its
-    /// [`SidecarReport`] instead.
     ///
     /// # Errors
     ///
@@ -645,29 +618,6 @@ impl RtKv {
     /// length (back-compat constructor).
     pub fn with_tick(rqs: Rqs, objects: usize, clients: usize, tick: Duration) -> Self {
         Self::with_setup(rqs, objects, clients, Scenario::default(), tick)
-    }
-
-    /// Offloads streaming atomicity checking to a dedicated
-    /// [`CheckerSidecar`] thread: harvested records become channel sends,
-    /// keeping validation off the workload-driving thread. Call
-    /// [`finish_sidecar`](Self::finish_sidecar) for the verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations were already checked in-line: the sidecar
-    /// must see the history from the start.
-    pub fn enable_checker_sidecar(&mut self) {
-        assert!(
-            self.checkers.is_empty(),
-            "enable the sidecar before running workloads"
-        );
-        self.sidecar = Some(CheckerSidecar::spawn());
-    }
-
-    /// Joins the checker sidecar (if one is enabled) and returns its
-    /// verdict and aggregated counters.
-    pub fn finish_sidecar(&mut self) -> Option<SidecarReport> {
-        self.sidecar.take().map(CheckerSidecar::finish)
     }
 }
 
@@ -799,12 +749,6 @@ mod tests {
             2,
             scenario,
         );
-        sim.set_retry_policy(crate::client::RetryPolicy {
-            max_retries: 64,
-            base_backoff: 4,
-            max_backoff: 32,
-            deadline: 1 << 20,
-        });
         let cfg = WorkloadConfig::mixed(8, 2, 40, 19);
         let stats = sim.run_workload(&generate(&cfg), 4);
         assert_eq!(stats.ops, 40, "retried ops complete exactly once");
@@ -883,22 +827,6 @@ mod tests {
         assert_eq!(stats.latencies.len(), 60);
         assert!(stats.latency_percentile(99.0) >= stats.latency_percentile(50.0));
         assert_eq!(sim.checker_stats().ops_checked, 60);
-    }
-
-    #[test]
-    fn sidecar_checks_threaded_run_off_thread() {
-        let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
-        let mut kv = RtKv::with_tick(rqs, 8, 2, Duration::from_millis(1));
-        kv.enable_checker_sidecar();
-        kv.retain_outcomes(false);
-        let cfg = WorkloadConfig::mixed(8, 2, 24, 31);
-        let stats = kv.run_workload(&generate(&cfg), 4);
-        assert_eq!(stats.ops, 24);
-        assert_eq!(stats.checker.ops_checked, 0, "checking is off-thread");
-        let report = kv.finish_sidecar().expect("sidecar enabled");
-        report.verdict.unwrap();
-        assert_eq!(report.stats.ops_checked, 24);
-        kv.shutdown();
     }
 
     #[test]
@@ -1007,12 +935,6 @@ mod tests {
             2,
             scenario,
         );
-        sim.set_retry_policy(crate::client::RetryPolicy {
-            max_retries: 64,
-            base_backoff: 4,
-            max_backoff: 32,
-            deadline: 1 << 20,
-        });
         let cfg = WorkloadConfig::mixed(8, 2, 40, 19);
         let stats = sim.run_workload(&generate(&cfg), 4);
         assert_eq!(stats.ops, 40);

@@ -58,7 +58,7 @@ pub mod object;
 pub mod server;
 pub mod workload;
 
-pub use client::{KvClient, KvOp, KvOutcome, RetryPolicy, RetryStats};
+pub use client::{KvClient, KvOp, KvOutcome, RetryStats};
 pub use deploy::{KvAtomicityViolation, KvDeployment, KvSim, RtKv};
 pub use messages::{BatchAccumulator, KvBatch, KvItem, Lane};
 pub use metrics::{KvRunStats, RoundHistogram};

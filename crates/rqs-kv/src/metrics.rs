@@ -95,11 +95,10 @@ pub struct KvRunStats {
     /// degradation conditions), classified at harvest by the deployment.
     pub attribution: Attribution,
     /// Aggregated counters of the deployment's streaming atomicity
-    /// checkers (cumulative over the deployment's lifetime; empty when
-    /// checking is offloaded to a sidecar).
+    /// checkers (cumulative over the deployment's lifetime).
     pub checker: CheckerStats,
-    /// Client retry counters accumulated during this run (nudges issued,
-    /// backoff ticks waited, ops whose retry budget ran out).
+    /// Client watchdog counters accumulated during this run (nudges
+    /// issued, ticks waited before them).
     pub retries: RetryStats,
 }
 

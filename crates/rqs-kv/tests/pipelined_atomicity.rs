@@ -9,14 +9,14 @@
 
 use proptest::prelude::*;
 use rqs_core::threshold::ThresholdConfig;
-use rqs_kv::{workload, ByzantineMode, KvSim, RetryPolicy, RtKv, WorkloadConfig};
+use rqs_kv::{workload, ByzantineMode, KvSim, RtKv, WorkloadConfig};
 use rqs_sim::Scenario;
 use std::time::Duration;
 
 /// Lossy links toward one server: each `every`-th message touching it
 /// (either direction) is dropped for the whole run. Quorums avoiding
 /// the flaky server keep closing; rounds that did include it are nudged
-/// through by the per-slot retry watchdogs.
+/// through by the clients' loss watchdogs.
 fn flaky(server: usize, every: u64) -> Scenario {
     Scenario::named("pipelined-flaky").lossy_towards(vec![server], every)
 }
@@ -34,16 +34,6 @@ fn sim_run(depth: usize, cfg: WorkloadConfig, byz: Option<usize>, drop_every: Op
     sim.set_pipeline(depth);
     if let Some(idx) = byz {
         sim.make_byzantine(idx, ByzantineMode::Forge);
-    }
-    if drop_every.is_some() {
-        // Dropped acks stall rounds forever without nudges (the protocol
-        // never resends); sim ticks are cheap, so retry aggressively.
-        sim.set_retry_policy(RetryPolicy {
-            max_retries: 128,
-            base_backoff: 4,
-            max_backoff: 32,
-            deadline: 1 << 20,
-        });
     }
     let ops = workload::generate(&cfg);
     let stats = sim.run_workload(&ops, 4);
@@ -111,12 +101,6 @@ proptest! {
         let mut kv = RtKv::with_tick(rqs, 8, 2, Duration::from_micros(50));
         kv.make_byzantine(byz_idx, ByzantineMode::Forge);
         kv.set_pipeline(depth);
-        kv.set_retry_policy(RetryPolicy {
-            max_retries: 8,
-            base_backoff: 1000,
-            max_backoff: 16_000,
-            deadline: 1 << 22,
-        });
         let cfg = WorkloadConfig {
             objects: 8,
             clients: 2,

@@ -15,10 +15,7 @@
 //!
 //! - [`runtime`] — the generic node-per-thread executor;
 //! - [`storage`] — [`RtStorage`], a threaded atomic-storage deployment;
-//! - [`consensus`] — [`RtConsensus`], a threaded consensus deployment;
-//! - [`sidecar`] — [`CheckerSidecar`], a thread streaming harvested
-//!   operations through per-object atomicity checkers so soak-length
-//!   runs are validated concurrently with the workload.
+//! - [`consensus`] — [`RtConsensus`], a threaded consensus deployment.
 //!
 //! ```no_run
 //! use rqs_core::threshold::ThresholdConfig;
@@ -37,10 +34,8 @@
 
 pub mod consensus;
 pub mod runtime;
-pub mod sidecar;
 pub mod storage;
 
 pub use consensus::RtConsensus;
 pub use runtime::{Runtime, DEFAULT_TICK};
-pub use sidecar::{CheckerSidecar, SidecarReport};
 pub use storage::RtStorage;
