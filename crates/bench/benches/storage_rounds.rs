@@ -1,9 +1,13 @@
 //! E4 criterion bench: simulated storage operations per configuration and
 //! fault level — measures harness throughput and reasserts the round
 //! counts of Theorem 9 on every sample. The `history_snapshot_write`
-//! group times the read path's two per-`rd` costs (a server snapshotting
-//! its history around a write, a reader selecting from four of them) at
-//! growing history lengths: neither may grow with the entries held.
+//! group times the read path's two per-`rd` costs at growing history
+//! lengths — a server snapshotting its history around a write, and a
+//! reader's whole round-1 decision over the four histories it was sent:
+//! neither may grow with the entries held. Its last row per length is the
+//! one decision that does, the exact scan a contested top timestamp
+//! forces, kept on record next to its traffic (none on the repo
+//! benchmark's four workloads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rqs_core::threshold::ThresholdConfig;
@@ -107,26 +111,57 @@ fn bench_history(c: &mut Criterion) {
         );
         assert_eq!(h.len() as u64, len);
 
-        // What a reader does per round: `select()` over the snapshots of
-        // all four servers of the n = 3t + 1, t = 1 system.
+        // What a reader does at the end of round 1 of an uncontended
+        // read, for 16 objects in turn (the `sim-hot-read` working set):
+        // `highest_ts` over the four histories it was sent, `select`,
+        // and the `BCD(csel, 1, ·)` triple. Every history is built on
+        // its own — four servers share no allocation, and 16 objects do
+        // not fit the cache lines one would.
         let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
-        let histories = vec![written(len); rqs.universe_size()];
-        let responded = rqs.quorums_within(ProcessSet::universe(rqs.universe_size()));
+        let n = rqs.universe_size();
+        let objects: Vec<Vec<History>> = (0..CYCLES)
+            .map(|_| (0..n).map(|_| written(len)).collect())
+            .collect();
         let top = TsVal::new(len, Value::from(len));
-        group.bench_with_input(BenchmarkId::new("select_n4_x16", len), &len, |b, &len| {
-            b.iter(|| {
-                let view = ReadView {
-                    rqs: &rqs,
-                    histories: &histories,
-                    responded: &responded,
-                    highest_ts: len,
-                    qc2_prime: &[],
-                };
-                for _ in 0..CYCLES {
-                    assert_eq!(view.select().as_ref(), Some(&top));
-                }
-            });
-        });
+        let decide = |histories: &[History]| {
+            let view = ReadView {
+                rqs: &rqs,
+                histories,
+                responded: ProcessSet::universe(n),
+                highest_ts: histories.iter().map(History::highest_ts).max().unwrap(),
+                qc2_prime: &[],
+            };
+            let (csel, row) = view.select_row().expect("a candidate");
+            let fast = (1..=3).any(|r| view.bcd1_in(&row, &csel, r));
+            (csel, fast)
+        };
+        group.bench_with_input(
+            BenchmarkId::new("read_decision_n4_x16", len),
+            &len,
+            |b, _| {
+                b.iter(|| {
+                    for histories in &objects {
+                        assert_eq!(decide(histories), (top.clone(), true));
+                    }
+                });
+            },
+        );
+
+        // The same decision when server 3 reports another value at the
+        // top timestamp: `select` cannot decide from the top row alone
+        // and walks every reported pair of every history — O(history) —
+        // and the read then needs a write-back. One decision per sample,
+        // not 16.
+        let mut contested = objects[0].clone();
+        contested[n - 1] = written(len - 1);
+        contested[n - 1].apply_write(&TsVal::new(len, Value::from(0u64)), &BTreeSet::new(), 1);
+        group.bench_with_input(
+            BenchmarkId::new("read_decision_contested_n4_x1", len),
+            &len,
+            |b, _| {
+                b.iter(|| assert_eq!(decide(&contested), (top.clone(), false)));
+            },
+        );
     }
     group.finish();
 }

@@ -299,7 +299,7 @@ impl Acceptor {
             if self.prep_view.contains(&self.view) {
                 let key = (v, self.view);
                 let senders1 = self.upd_senders[0].get(&key).copied().unwrap_or_default();
-                let covered = self.cfg.rqs.quorums_within(senders1);
+                let covered: Vec<QuorumId> = self.cfg.rqs.quorums_within(senders1).collect();
                 for q in covered {
                     let seen = self.update_q[0]
                         .get(&self.view)
@@ -323,7 +323,8 @@ impl Acceptor {
                     .get(&self.view)
                     .is_none_or(|qs| qs.is_empty());
                 if empty {
-                    if let Some(q) = self.cfg.rqs.quorums_within(senders2).first().copied() {
+                    let first = self.cfg.rqs.quorums_within(senders2).next();
+                    if let Some(q) = first {
                         self.apply_update(2, v);
                         self.update_q[1].entry(self.view).or_default().insert(q);
                         let m = ConsensusMsg::Update {

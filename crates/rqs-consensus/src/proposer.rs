@@ -155,7 +155,7 @@ impl Proposer {
             return;
         }
         let acked: ProcessSet = self.acks.keys().copied().collect();
-        let quorums = self.cfg.rqs.quorums_within(acked);
+        let quorums: Vec<QuorumId> = self.cfg.rqs.quorums_within(acked).collect();
         for q in quorums {
             if self.faulty.contains(&q) {
                 continue;

@@ -42,7 +42,7 @@ fn benign_state(
                 .filter(|&j| prep_assignment[j] == Some(v))
                 .map(ProcessId)
                 .collect();
-            if let Some(&q) = rqs.quorums_within(preparers).first() {
+            if let Some(q) = rqs.quorums_within(preparers).next() {
                 body.update[0] = Some(v);
                 body.update_view[0].insert(0);
                 body.update_q[0].entry(0).or_default().insert(q);
@@ -64,7 +64,7 @@ proptest! {
     ) {
         let rqs = byz4();
         let all = benign_state(&rqs, &preps);
-        for q in rqs.all_ids() {
+        for &q in rqs.all_ids() {
             let members = rqs.quorum(q);
             let acks: BTreeMap<ProcessId, NewViewAckBody> = members
                 .iter()
@@ -108,7 +108,7 @@ proptest! {
             }
         }
         let all = benign_state(&rqs, &preps);
-        for q in rqs.all_ids() {
+        for &q in rqs.all_ids() {
             let members = rqs.quorum(q);
             let acks: BTreeMap<ProcessId, NewViewAckBody> = members
                 .iter()
@@ -177,7 +177,7 @@ fn two_updated_value_protected() {
         body.update_q[1].entry(0).or_default().insert(q);
         acks.insert(ProcessId(i), body);
     }
-    for q in rqs.all_ids() {
+    for &q in rqs.all_ids() {
         let members = rqs.quorum(q);
         let subset: BTreeMap<ProcessId, NewViewAckBody> =
             members.iter().map(|p| (p, acks[&p].clone())).collect();

@@ -77,9 +77,9 @@ pub fn availability(quorums: &[ProcessSet], n: usize, p_fail: f64) -> f64 {
 pub fn class_availability(rqs: &Rqs, class: crate::rqs::QuorumClass, p_fail: f64) -> f64 {
     let quorums: Vec<ProcessSet> = rqs
         .all_ids()
-        .into_iter()
-        .filter(|&id| rqs.class_of(id) <= class)
-        .map(|id| rqs.quorum(id))
+        .iter()
+        .filter(|&&id| rqs.class_of(id) <= class)
+        .map(|&id| rqs.quorum(id))
         .collect();
     if quorums.is_empty() {
         return 0.0;

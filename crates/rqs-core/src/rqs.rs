@@ -238,6 +238,12 @@ pub struct Rqs {
     /// `class1[i]` ⇒ `quorums[i] ∈ QC1`. Invariant: `class1[i] ⇒ class2[i]`.
     class1: Vec<bool>,
     class2: Vec<bool>,
+    /// The ids of `QC1`, `QC2` and the whole family, ascending: fixed at
+    /// construction, because the protocols' predicates walk them at every
+    /// round end.
+    class1_ids: Vec<QuorumId>,
+    class2_ids: Vec<QuorumId>,
+    all_ids: Vec<QuorumId>,
 }
 
 impl Rqs {
@@ -309,8 +315,15 @@ impl Rqs {
             // QC1 ⊆ QC2 by definition; absorb silently.
             c2[i] = true;
         }
+        let ids_where = |flags: &[bool]| -> Vec<QuorumId> {
+            let set = flags.iter().enumerate().filter(|(_, &f)| f);
+            set.map(|(i, _)| QuorumId(i)).collect()
+        };
         Ok(Rqs {
             adversary,
+            class1_ids: ids_where(&c1),
+            class2_ids: ids_where(&c2),
+            all_ids: (0..quorums.len()).map(QuorumId).collect(),
             quorums,
             class1: c1,
             class2: c2,
@@ -357,27 +370,19 @@ impl Rqs {
         self.quorums.iter().position(|&q| q == set).map(QuorumId)
     }
 
-    /// Ids of all class-1 quorums.
-    pub fn class1_ids(&self) -> Vec<QuorumId> {
-        self.ids_where(&self.class1)
+    /// Ids of all class-1 quorums, ascending.
+    pub fn class1_ids(&self) -> &[QuorumId] {
+        &self.class1_ids
     }
 
-    /// Ids of all class-2 quorums (includes class-1 quorums).
-    pub fn class2_ids(&self) -> Vec<QuorumId> {
-        self.ids_where(&self.class2)
+    /// Ids of all class-2 quorums (includes class-1 quorums), ascending.
+    pub fn class2_ids(&self) -> &[QuorumId] {
+        &self.class2_ids
     }
 
-    /// Ids of all quorums.
-    pub fn all_ids(&self) -> Vec<QuorumId> {
-        (0..self.quorums.len()).map(QuorumId).collect()
-    }
-
-    fn ids_where(&self, flags: &[bool]) -> Vec<QuorumId> {
-        flags
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &f)| f.then_some(QuorumId(i)))
-            .collect()
+    /// Ids of all quorums, ascending.
+    pub fn all_ids(&self) -> &[QuorumId] {
+        &self.all_ids
     }
 
     /// Class-1 quorums as sets.
@@ -549,13 +554,22 @@ impl Rqs {
         Ok(())
     }
 
-    /// Ids of all quorums fully contained in `responded` — "acks received
-    /// from some quorum" in the protocols means this list is non-empty.
-    pub fn quorums_within(&self, responded: ProcessSet) -> Vec<QuorumId> {
-        (0..self.quorums.len())
-            .map(QuorumId)
-            .filter(|&id| self.quorum(id).is_subset_of(responded))
-            .collect()
+    /// The ids among `ids` whose quorum is fully contained in `responded`.
+    fn within<'a>(
+        &'a self,
+        ids: &'a [QuorumId],
+        responded: ProcessSet,
+    ) -> impl Iterator<Item = QuorumId> + 'a {
+        let inside = move |id: &QuorumId| self.quorum(*id).is_subset_of(responded);
+        ids.iter().copied().filter(inside)
+    }
+
+    /// Ids of all quorums fully contained in `responded`, ascending —
+    /// "acks received from some quorum" in the protocols means this
+    /// yields one. An iterator, because the protocols ask at every round
+    /// end and mostly want the first id or none.
+    pub fn quorums_within(&self, responded: ProcessSet) -> impl Iterator<Item = QuorumId> + '_ {
+        self.within(&self.all_ids, responded)
     }
 
     /// `true` iff some quorum is fully contained in `responded`.
@@ -565,18 +579,13 @@ impl Rqs {
 
     /// First class-1 quorum fully contained in `responded`, if any.
     pub fn class1_within(&self, responded: ProcessSet) -> Option<QuorumId> {
-        self.class1_ids()
-            .into_iter()
-            .find(|&id| self.quorum(id).is_subset_of(responded))
+        self.within(&self.class1_ids, responded).next()
     }
 
-    /// All class-2 quorums fully contained in `responded` (the writer's
-    /// `QC'2` computation, Fig. 5 lines 4–5).
-    pub fn class2_within(&self, responded: ProcessSet) -> Vec<QuorumId> {
-        self.class2_ids()
-            .into_iter()
-            .filter(|&id| self.quorum(id).is_subset_of(responded))
-            .collect()
+    /// All class-2 quorums fully contained in `responded`, ascending (the
+    /// writer's `QC'2` computation, Fig. 5 lines 4–5).
+    pub fn class2_within(&self, responded: ProcessSet) -> impl Iterator<Item = QuorumId> + '_ {
+        self.within(&self.class2_ids, responded)
     }
 
     /// Quorums that are entirely correct under the given fault sets
@@ -987,15 +996,15 @@ mod tests {
     fn quorums_within_responded_sets() {
         let rqs = figure3();
         let all = ProcessSet::universe(8);
-        assert_eq!(rqs.quorums_within(all).len(), 4);
+        assert_eq!(rqs.quorums_within(all).count(), 4);
         assert!(rqs.any_quorum_within(all));
         assert!(rqs.class1_within(all).is_some());
-        assert_eq!(rqs.class2_within(all).len(), 2);
+        assert_eq!(rqs.class2_within(all).count(), 2);
         // Exactly Q2 = {2,3,4,5,6} responded:
         let just_q2 = ProcessSet::from_indices([2, 3, 4, 5, 6]);
-        assert_eq!(rqs.quorums_within(just_q2), vec![QuorumId(2)]);
+        assert!(rqs.quorums_within(just_q2).eq([QuorumId(2)]));
         assert!(rqs.class1_within(just_q2).is_none());
-        assert_eq!(rqs.class2_within(just_q2), vec![QuorumId(2)]);
+        assert!(rqs.class2_within(just_q2).eq([QuorumId(2)]));
         // Nobody responded:
         assert!(!rqs.any_quorum_within(ProcessSet::empty()));
     }

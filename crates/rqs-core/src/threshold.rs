@@ -373,7 +373,7 @@ mod tests {
             // Class 1 = only the full set.
             assert_eq!(rqs.class1_quorums(), vec![ProcessSet::universe(3 * t + 1)]);
             // All (n-t)-subsets are class 2.
-            for id in rqs.class2_ids() {
+            for &id in rqs.class2_ids() {
                 let s = rqs.quorum(id);
                 assert!(s.len() > 2 * t);
             }

@@ -207,7 +207,7 @@ proptest! {
             let ids1 = rqs.class1_ids();
             let ids2 = rqs.class2_ids();
             for id in ids1 {
-                prop_assert!(ids2.contains(&id), "QC1 ⊆ QC2 invariant");
+                prop_assert!(ids2.contains(id), "QC1 ⊆ QC2 invariant");
             }
         }
     }

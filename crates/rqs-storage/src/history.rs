@@ -19,9 +19,15 @@
 //!   the spine's chunk pointers and the one chunk it lands in
 //!   (`Arc::make_mut` on each); every other chunk stays shared with the
 //!   snapshot. A write that changes nothing copies nothing.
-//! - Lookup is a binary search over chunk heads, then within the chunk;
-//!   a write costs O(`CHUNK` + len / `CHUNK`) whatever order timestamps
-//!   arrive in (reader write-backs and Byzantine clients write old ones).
+//! - Lookup tries the newest chunk first and only then binary-searches
+//!   the chunk heads: the top of a live object's history is what every
+//!   read decision probes (`highest_ts`, then the row at that timestamp)
+//!   and where every ascending write lands, so the common lookup touches
+//!   one chunk instead of ≈ log₂(len / `CHUNK`) chunk heads, each behind
+//!   its own pointer. [`History::highest_ts`] reads the same chunk's last
+//!   entry. A write costs O(`CHUNK` + len / `CHUNK`) whatever order
+//!   timestamps arrive in (reader write-backs and Byzantine clients write
+//!   old ones).
 //!
 //! Invariants, kept by `Spine::insert` — the only code that adds entries:
 //!
@@ -45,7 +51,7 @@ pub const SLOTS: usize = 3;
 
 /// Most entries a chunk holds: what one write copies at most while a
 /// snapshot is outstanding, and the divisor of the spine's length.
-const CHUNK: usize = 32;
+pub(crate) const CHUNK: usize = 32;
 
 /// One history slot: a stored pair plus attached class-2 quorum ids.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -70,8 +76,16 @@ impl Slot {
     }
 }
 
-/// What every slot nobody wrote reads as.
-static EMPTY_SLOT: LazyLock<Slot> = LazyLock::new(Slot::default);
+/// What the slots of a timestamp nobody wrote read as.
+static EMPTY_SLOTS: LazyLock<[Slot; SLOTS]> = LazyLock::new(Default::default);
+
+#[cfg(test)]
+thread_local! {
+    /// Reads of a `History` made on this thread, one per
+    /// search for a timestamp or [`History::highest_ts`] call: what the
+    /// operation-count test of the read decision counts.
+    pub(crate) static LOOKUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 type Entry = (Timestamp, [Slot; SLOTS]);
 
@@ -113,10 +127,18 @@ impl Spine {
     /// `Ok` with the place of `ts`'s entry, or `Err` with the place
     /// [`Spine::insert`] would put it.
     fn locate(&self, ts: Timestamp) -> Result<Place, Place> {
-        // Only the last chunk whose head is ≤ ts can hold ts.
-        let after = self.chunks.partition_point(|chunk| chunk[0].0 <= ts);
-        let Some(ci) = after.checked_sub(1) else {
+        // Only the last chunk whose head is ≤ ts can hold ts. That is the
+        // newest chunk for the top of the history, which is what reads
+        // and ascending writes ask for: the older heads are searched only
+        // for a timestamp below it.
+        let Some((newest, older)) = self.chunks.split_last() else {
             return Err((0, 0));
+        };
+        let ci = if newest[0].0 <= ts {
+            older.len()
+        } else {
+            let after = older.partition_point(|chunk| chunk[0].0 <= ts);
+            after.checked_sub(1).ok_or((0, 0))?
         };
         match self.chunks[ci].binary_search_by_key(&ts, |entry| entry.0) {
             Ok(pos) => Ok((ci, pos)),
@@ -173,8 +195,10 @@ impl History {
         History::default()
     }
 
-    /// The slots stored for `ts`, if any.
+    /// The slots stored for `ts`, if any: one search.
     fn get(&self, ts: Timestamp) -> Option<&[Slot; SLOTS]> {
+        #[cfg(test)]
+        LOOKUPS.with(|n| n.set(n.get() + 1));
         let spine = self.spine.as_deref()?;
         let (ci, pos) = spine.locate(ts).ok()?;
         Some(&spine.chunks[ci][pos].1)
@@ -188,6 +212,13 @@ impl History {
             .flat_map(|chunk| chunk.iter())
     }
 
+    /// All three slots of `ts` (`history_i[ts, ·]`), found with one
+    /// search; a timestamp nobody wrote reads as three empty slots.
+    /// `slots(ts)[rnd - 1]` is the paper's `history_i[ts, rnd]`.
+    pub fn slots(&self, ts: Timestamp) -> &[Slot; SLOTS] {
+        self.get(ts).unwrap_or(&EMPTY_SLOTS)
+    }
+
     /// The slot for `(ts, rnd)`; empty slots read as the initial value.
     ///
     /// # Panics
@@ -195,7 +226,7 @@ impl History {
     /// Panics if `rnd ∉ {1, 2, 3}`.
     pub fn slot(&self, ts: Timestamp, rnd: usize) -> &Slot {
         assert!((1..=SLOTS).contains(&rnd), "round slot must be 1..=3");
-        self.get(ts).map_or(&EMPTY_SLOT, |slots| &slots[rnd - 1])
+        &self.slots(ts)[rnd - 1]
     }
 
     /// The stored pair for `(ts, rnd)` (initial pair when empty).
@@ -212,11 +243,8 @@ impl History {
 
     /// `true` iff slot `(ts, rnd)` stores `pair` with `q2` attached.
     pub fn stores_with_quorum(&self, pair: &TsVal, rnd: usize, q2: QuorumId) -> bool {
-        assert!((1..=SLOTS).contains(&rnd), "round slot must be 1..=3");
-        self.get(pair.ts).is_some_and(|slots| {
-            let slot = &slots[rnd - 1];
-            slot.pair == *pair && slot.sets.contains(&q2)
-        })
+        let slot = self.slot(pair.ts, rnd);
+        slot.pair == *pair && slot.sets.contains(&q2)
     }
 
     /// Applies a `wr⟨ts, v, QC'2, rnd⟩` message per the server pseudocode
@@ -276,10 +304,15 @@ impl History {
         out
     }
 
-    /// Highest timestamp stored in slots 1 or 2 (0 when empty).
+    /// Highest timestamp stored in slots 1 or 2 (0 when empty): the last
+    /// entry of the newest chunk, unless nothing but slot 3 or quorum ids
+    /// were installed there.
     pub fn highest_ts(&self) -> Timestamp {
-        self.entries()
-            .rev()
+        #[cfg(test)]
+        LOOKUPS.with(|n| n.set(n.get() + 1));
+        let chunks = self.spine.as_deref().map_or(&[][..], |spine| &spine.chunks);
+        let mut newest_first = chunks.iter().rev().flat_map(|chunk| chunk.iter().rev());
+        newest_first
             .find(|(_, slots)| slots[..2].iter().any(|s| !s.pair.is_initial()))
             .map_or(0, |&(ts, _)| ts)
     }
@@ -639,8 +672,19 @@ mod tests {
     }
 
     /// Everything observable about `h` agrees with `m`; probes the slot
-    /// accessors around `near`.
+    /// accessors around `near`, and the lookup at every chunk boundary.
     fn agrees(h: &History, m: &Model, near: Timestamp) -> Result<(), TestCaseError> {
+        // A head is found in its own chunk — the newest without a search
+        // of the older heads — one below it in the chunk before, one
+        // above the last entry nowhere.
+        let empty = <[Slot; SLOTS]>::default();
+        let heads = chunks(h).iter().map(|chunk| chunk[0].0);
+        let last = m.0.keys().next_back().copied().unwrap_or(0);
+        for edge in heads.chain([last]) {
+            for ts in edge.saturating_sub(1)..=edge + 1 {
+                prop_assert_eq!(h.slots(ts), m.0.get(&ts).unwrap_or(&empty), "slots({})", ts);
+            }
+        }
         prop_assert!(h.iter().eq(m.0.iter()), "iter: {h:?} vs {m:?}");
         prop_assert_eq!(h.len(), m.0.len());
         prop_assert_eq!(h.is_empty(), m.0.is_empty());
@@ -651,7 +695,6 @@ mod tests {
             format!("History {{ entries: {:?} }}", m.0)
         );
         for ts in near.saturating_sub(1)..=near + 1 {
-            let empty = <[Slot; SLOTS]>::default();
             let slots = m.0.get(&ts).unwrap_or(&empty);
             for rnd in 1..=SLOTS {
                 let slot = &slots[rnd - 1];
@@ -715,7 +758,11 @@ mod tests {
             const MID: Timestamp = 1_000;
             let mut h = History::new();
             let mut m = Model::default();
-            for ts in (MID..).step_by(2).take(4 * CHUNK) {
+            for (written, ts) in (MID..).step_by(2).take(4 * CHUNK).enumerate() {
+                // Empty, one entry, one full chunk, one entry past it.
+                if [0, 1, CHUNK, CHUNK + 1].contains(&written) {
+                    agrees(&h, &m, ts)?;
+                }
                 h.apply_write(&pair(ts, ts), &BTreeSet::new(), 1);
                 m.apply_write(&pair(ts, ts), &BTreeSet::new(), 1);
             }

@@ -370,17 +370,17 @@ impl Reader {
                 .map(History::highest_ts)
                 .max()
                 .unwrap_or(0);
-            p1.qc2_prime = self.rqs.class2_within(p1.acks_this_round);
+            p1.qc2_prime = self.rqs.class2_within(p1.acks_this_round).collect();
         }
-        let responded = self.rqs.quorums_within(p1.responded_all);
         let view = ReadView {
             rqs: &self.rqs,
             histories: &p1.histories,
-            responded: &responded,
+            responded: p1.responded_all,
             highest_ts: p1.highest_ts,
             qc2_prime: &p1.qc2_prime,
         };
-        let Some(csel) = view.select() else {
+        // `row`: what each server stores at `csel.ts`, for the BCD tests.
+        let Some((csel, row)) = view.select_row() else {
             // C = ∅: another round of the regular part (line 34).
             Self::enter_phase1_round(
                 p1,
@@ -424,7 +424,7 @@ impl Reader {
         }
         if read_rnd == 1 {
             // Line 40: BCD(csel, 1, ·) → 1-round read, no write-back.
-            if (1..=3).any(|r| view.bcd1(&csel, r)) {
+            if (1..=3).any(|r| view.bcd1_in(&row, &csel, r)) {
                 self.state = State::Idle;
                 self.obs.emit(
                     TraceKind::OpCompleted,
@@ -444,22 +444,13 @@ impl Reader {
                 return;
             }
             // Line 41: BCD(csel, 2, ·) non-empty?
-            let x1 = view.bcd2(&csel, 1);
-            let x23: Vec<QuorumId> = {
-                let mut v = view.bcd2(&csel, 2);
-                for q in view.bcd2(&csel, 3) {
-                    if !v.contains(&q) {
-                        v.push(q);
-                    }
-                }
-                v
-            };
-            if !x23.is_empty() {
+            if (2..=3).any(|r| !view.bcd2_in(&row, &csel, r).is_empty()) {
                 // Line 42: the writer already completed at some quorum —
                 // one plain round-2 write-back finishes the read.
                 self.start_writeback(csel, WbKind::FinalRound2, 1, invoked_at, ctx);
                 return;
             }
+            let x1 = view.bcd2_in(&row, &csel, 1);
             if !x1.is_empty() {
                 // Lines 43–46: fast round-1 write-back carrying X.
                 self.start_writeback(csel, WbKind::FastRound1 { x: x1 }, 1, invoked_at, ctx);
@@ -803,7 +794,9 @@ mod tests {
         use rqs_sim::Time;
         let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
         let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
-        let x = rqs.class2_within([0, 1, 2].into_iter().map(ProcessId).collect());
+        let x: Vec<QuorumId> = rqs
+            .class2_within([0, 1, 2].into_iter().map(ProcessId).collect())
+            .collect();
         assert_eq!(x.len(), 1, "{{0,1,2}} is exactly one class-2 quorum");
         let csel = TsVal::new(4, Value::from(9u64));
         let ack = StorageMsg::WrAck { ts: 4, rnd: 1 };
@@ -879,7 +872,9 @@ mod tests {
         assert_eq!(r.outcomes()[0].rounds, 1);
 
         // Write-back: the same, with the quorum of X that confirms it.
-        let x = rqs.class2_within([0, 1, 2].into_iter().map(ProcessId).collect());
+        let x: Vec<QuorumId> = rqs
+            .class2_within([0, 1, 2].into_iter().map(ProcessId).collect())
+            .collect();
         let mut r = Reader::new(rqs, servers);
         let mut c = Context::new(NodeId(5), Time(0), 0);
         r.read_no = 1;

@@ -153,13 +153,12 @@ impl RegularReader {
                 .map(History::highest_ts)
                 .max()
                 .unwrap_or(0);
-            ip.qc2_prime = self.rqs.class2_within(ip.acks_this_round);
+            ip.qc2_prime = self.rqs.class2_within(ip.acks_this_round).collect();
         }
-        let responded = self.rqs.quorums_within(ip.responded_all);
         let view = ReadView {
             rqs: &self.rqs,
             histories: &ip.histories,
-            responded: &responded,
+            responded: ip.responded_all,
             highest_ts: ip.highest_ts,
             qc2_prime: &ip.qc2_prime,
         };

@@ -273,7 +273,7 @@ impl Writer {
     /// planted mutant also accepts a class-2 one).
     fn fast_quorum_within(&self, acks: ProcessSet) -> bool {
         self.rqs.class1_within(acks).is_some()
-            || (self.settle_on_class2 && !self.rqs.class2_within(acks).is_empty())
+            || (self.settle_on_class2 && self.rqs.class2_within(acks).next().is_some())
     }
 
     /// Round 2's success test: the acks contain a quorum of `QC'2`.
@@ -317,7 +317,7 @@ impl Writer {
                 if self.fast_quorum_within(w.acks) {
                     self.complete(1, ctx);
                 } else {
-                    let qc2 = self.rqs.class2_within(w.acks);
+                    let qc2 = self.rqs.class2_within(w.acks).collect();
                     self.current.as_mut().expect("in progress").qc2_prime = qc2;
                     self.enter_round(2, ctx);
                 }

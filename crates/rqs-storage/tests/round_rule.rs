@@ -200,7 +200,7 @@ proptest! {
         for (acks, e) in [(&rounds[0], e1), (&rounds[1], e2)] {
             prop_assert!(!rqs.any_quorum_within(in_time(acks)) || e == in_time(acks));
         }
-        let qc2_prime: BTreeSet<QuorumId> = rqs.class2_within(e1).into_iter().collect();
+        let qc2_prime: BTreeSet<QuorumId> = rqs.class2_within(e1).collect();
         let (want_rounds, want_key) = if rqs.class1_within(e1).is_some() {
             (1, k1)
         } else if qc2_prime.iter().any(|&q| rqs.quorum(q).is_subset_of(e2)) {
