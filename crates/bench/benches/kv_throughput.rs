@@ -1,7 +1,8 @@
 //! E15 criterion bench: KV service throughput on the deterministic
 //! simulator across batch sizes, plus one threaded-runtime sample.
 //!
-//! The shape to check: larger per-client batches complete the same
+//! Every group asserts as it measures, so one run of this file is also a
+//! check. The shape to check: larger per-client batches complete the same
 //! workload with fewer envelopes, so simulated-workload wall time drops
 //! (less queue churn) and the threaded deployment keeps up with the
 //! single-register baseline despite multiplexing 16 objects.
@@ -9,14 +10,24 @@
 //! The `server_step` group times the server stage alone: the same eight
 //! writing envelopes through a durable `KvServer` as eight steps and as
 //! one batch step, in ns per item and syncs per step.
+//!
+//! The `client_ack` group times the client stage alone: a `KvClient`
+//! taking the four servers' round-1 acks of one read on each of 16
+//! objects in one step, in ns per ack item, with every read asserted to
+//! complete in one round.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rqs_core::threshold::ThresholdConfig;
-use rqs_kv::{workload, KvBatch, KvItem, KvServer, KvSim, Lane, ObjectId, RtKv, WorkloadConfig};
+use rqs_core::Rqs;
+use rqs_kv::{
+    workload, KvBatch, KvClient, KvItem, KvOp, KvServer, KvSim, Lane, ObjectId, RtKv,
+    WorkloadConfig,
+};
 use rqs_sim::{Automaton, Context, NodeId, Time};
-use rqs_storage::{StorageMsg, Value};
+use rqs_storage::{History, StorageMsg, TsVal, Value};
 use rqs_store::StoreHandle;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn bench_kv(c: &mut Criterion) {
@@ -125,5 +136,81 @@ fn bench_server_step(_c: &mut Criterion) {
     assert_eq!(histories[0], histories[1], "both ways end in the same bank");
 }
 
-criterion_group!(benches, bench_kv, bench_server_step);
+/// One pass of the `client_ack` group: a fresh client reads every one of
+/// `OBJECTS` objects `RUNS` times, each read answered in one step by the
+/// four servers' round-1 acks; returns ns per ack item.
+fn client_ack_pass(rqs: &Arc<Rqs>, history: &History, top: &TsVal) -> f64 {
+    const RUNS: u64 = 2_000;
+    const OBJECTS: u64 = 16;
+    let servers: Vec<NodeId> = (0..rqs.universe_size()).map(NodeId).collect();
+    let me = NodeId(servers.len());
+    // Inputs are built before the clock starts: per run, one envelope per
+    // server acking the run's read of every object.
+    let acks: Vec<Vec<(NodeId, KvBatch)>> = (1..=RUNS)
+        .map(|read_no| {
+            let ack = |object| KvItem {
+                object: ObjectId(object),
+                lane: Lane::Reader,
+                msg: StorageMsg::RdAck {
+                    read_no,
+                    rnd: 1,
+                    history: history.clone(),
+                },
+            };
+            let envelope = || KvBatch((0..OBJECTS).map(ack).collect());
+            servers.iter().map(|&s| (s, envelope())).collect()
+        })
+        .collect();
+    let mut client = KvClient::new(rqs.clone(), servers, []);
+    let (mut counter, mut items, mut timed) = (0, 0usize, Duration::ZERO);
+    for (run, mut queued) in acks.into_iter().enumerate() {
+        let at = 2 * run as u64;
+        let reads = (0..OBJECTS).map(|o| KvOp::Read {
+            object: ObjectId(o),
+        });
+        let mut ctx = Context::new(me, Time(at), counter);
+        client.start_ops(reads.collect(), &mut ctx);
+        counter = ctx.timer_counter_snapshot();
+        let mut ctx = Context::new(me, Time(at + 1), counter);
+        items += queued.iter().map(|(_, e)| e.len()).sum::<usize>();
+        let start = Instant::now();
+        client.on_messages(queued.drain(..), &mut ctx);
+        timed += start.elapsed();
+        counter = ctx.timer_counter_snapshot();
+        black_box(ctx.cancelled_timers().len());
+    }
+    assert_eq!(client.in_flight(), 0);
+    let outcomes = client.outcomes();
+    assert_eq!(outcomes.len() as u64, RUNS * OBJECTS);
+    assert!(
+        outcomes.iter().all(|o| o.rounds == 1 && o.pair == *top),
+        "every read decides on the top pair in one round"
+    );
+    timed.as_nanos() as f64 / items as f64
+}
+
+fn bench_client_ack(_c: &mut Criterion) {
+    const PASSES: usize = 5;
+    const WRITTEN: u64 = 64;
+    let rqs = Arc::new(ThresholdConfig::byzantine_fast(1).build().unwrap());
+    // Every server reports the same history of `WRITTEN` one-round
+    // writes, so each read decides on its top pair in round 1.
+    let mut history = History::new();
+    for ts in 1..=WRITTEN {
+        history.apply_write(&TsVal::new(ts, Value::from(ts)), &BTreeSet::new(), 1);
+    }
+    let top = TsVal::new(WRITTEN, Value::from(WRITTEN));
+    let passes: Vec<f64> = (0..PASSES)
+        .map(|_| client_ack_pass(&rqs, &history, &top))
+        .collect();
+    let min = passes.iter().copied().fold(f64::INFINITY, f64::min);
+    println!(
+        "bench client_ack/{:<42} min {:>6.1} ns/item  mean {:>6.1} ns/item  ({PASSES} passes)",
+        "rd_acks_4_servers_x16_lanes",
+        min,
+        passes.iter().sum::<f64>() / PASSES as f64,
+    );
+}
+
+criterion_group!(benches, bench_kv, bench_server_step, bench_client_ack);
 criterion_main!(benches);

@@ -10,23 +10,32 @@
 #![forbid(unsafe_code)]
 
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// An immutable, reference-counted byte buffer.
 ///
 /// Clones share the underlying allocation, matching the cost model of the
-/// real `bytes::Bytes` for the operations this workspace performs.
+/// real `bytes::Bytes` for the operations this workspace performs. Every
+/// empty buffer shares one allocation, as the real crate's static empty
+/// buffer does; equality, ordering and hashing are by content.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Bytes(Arc<[u8]>);
 
+/// The one allocation behind every empty [`Bytes`].
+static EMPTY: LazyLock<Arc<[u8]>> = LazyLock::new(|| Arc::from(&[][..]));
+
 impl Bytes {
-    /// An empty buffer.
+    /// An empty buffer (allocates nothing).
     pub fn new() -> Self {
-        Bytes(Arc::from(&[][..]))
+        Bytes(EMPTY.clone())
     }
 
-    /// Copies the slice into a fresh buffer.
+    /// Copies the slice into a fresh buffer (the shared empty one when
+    /// `data` is empty).
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        if data.is_empty() {
+            return Bytes::new();
+        }
         Bytes(Arc::from(data))
     }
 
@@ -62,6 +71,9 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         Bytes(Arc::from(v))
     }
 }
@@ -229,5 +241,25 @@ mod tests {
         assert_eq!(Bytes::new().len(), 0);
         assert!(Bytes::default().is_empty());
         assert_eq!(Bytes::from(vec![1u8, 2]).as_ref(), &[1, 2]);
+    }
+
+    #[test]
+    fn every_empty_buffer_is_one_allocation_and_compares_by_content() {
+        use std::hash::{BuildHasher, RandomState};
+        let a = Bytes::new();
+        for b in [
+            Bytes::default(),
+            Bytes::from(&[][..]),
+            Bytes::from(Vec::new()),
+        ] {
+            assert!(Arc::ptr_eq(&a.0, &b.0));
+        }
+        // An empty buffer of an allocation of its own is the same value.
+        let built = BytesMut::new().freeze();
+        assert!(!Arc::ptr_eq(&a.0, &built.0));
+        assert_eq!(a, built);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&built));
+        assert!(a < Bytes::from(&b"a"[..]));
     }
 }

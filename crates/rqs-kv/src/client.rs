@@ -7,12 +7,21 @@
 //! *exactly* the paper's algorithm — the KV layer adds only routing,
 //! timer bookkeeping and batching:
 //!
+//! - everything the client keeps about one `(object, lane)` stream is one
+//!   record: the inner automaton, the lane's backlog, the active op's
+//!   admission record `(seq, queued)`, the stamps of the lane's last
+//!   rounds, its watchdog and its nudge count. An ack touches that record,
+//!   the round-trip estimate and the outgoing buffer, and nothing else;
 //! - every inner send is tagged with its object and lane and buffered;
 //!   at the end of the step the buffer is flushed as one [`KvBatch`] per
 //!   destination (the batching that makes `B` concurrent operations cost
 //!   far fewer than `B×` envelopes);
-//! - inner timers are re-armed on the outer context and a token map
-//!   routes expirations back to the automaton that armed them;
+//! - an inner automaton steps in a context opened at the outer context's
+//!   timer counter, so the token it arms *is* the token the outer context
+//!   arms for it, and a cancellation is forwarded unchanged. One map from
+//!   outer token to lane routes every expiry, inner round timer or lane
+//!   watchdog alike; it is empty whenever every lane is idle. The inner
+//!   context itself is one buffer, re-opened for every inner step;
 //! - the round timer every op is launched with comes from observed round
 //!   trips: the client keeps one windowed-maximum estimate over the ticks
 //!   between a round's broadcast and each of its acks (`RttEstimate`)
@@ -21,8 +30,10 @@
 //!   may cost a round, never safety or liveness; the estimate is a pure
 //!   function of delivered messages, so simulator runs stay
 //!   deterministic, and it is not settable;
-//! - completed inner operations are harvested into a flat outcome log
-//!   with object tags, rounds and invocation/response times;
+//! - a completed inner operation is drained out of its inner automaton
+//!   once, in the step that completes it, into a flat outcome log with
+//!   object tags, rounds, invocation/response times and the admission
+//!   record; a completion without that record is a bug and panics;
 //! - a round that outlives its own timer is guarded by a loss watchdog:
 //!   the paper's clients wait for a quorum over reliable channels and
 //!   never resend, so a lossy link or an amnesia crash could stall a
@@ -61,6 +72,7 @@
 
 use crate::messages::{BatchAccumulator, KvBatch, KvItem, Lane};
 use crate::object::ObjectId;
+use core::fmt;
 use rqs_core::Rqs;
 use rqs_obs::{Obs, TraceKind, LANE_READER, LANE_WRITER};
 use rqs_sim::{Automaton, Context, NodeId, Time, TimerToken};
@@ -133,13 +145,6 @@ pub struct KvOutcome {
     pub queued_ticks: u64,
 }
 
-#[derive(Debug)]
-struct TimerRoute {
-    object: ObjectId,
-    lane: Lane,
-    inner: TimerToken,
-}
-
 /// Retry counters of one client (or merged over a deployment).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
@@ -157,9 +162,9 @@ impl RetryStats {
     }
 }
 
-/// The armed watchdog of one `(object, lane)` round.
+/// The armed watchdog of one lane's round.
 #[derive(Debug)]
-struct LaneRetry {
+struct Watchdog {
     /// Nudges this round has had so far.
     attempt: u32,
     /// The armed outer timer token.
@@ -336,55 +341,424 @@ fn lane_tag(lane: Lane) -> u8 {
     }
 }
 
-/// The multi-object KV client automaton.
+/// The protocol automaton behind a lane: the object's writer, or this
+/// client's reader of it.
+enum Inner {
+    Writer(Writer),
+    Reader(Reader),
+}
+
+/// Prints as the inner automaton does.
+impl fmt::Debug for Inner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Inner::Writer(w) => fmt::Debug::fmt(w, f),
+            Inner::Reader(r) => fmt::Debug::fmt(r, f),
+        }
+    }
+}
+
+impl Inner {
+    fn automaton(&mut self) -> &mut dyn Automaton<StorageMsg> {
+        match self {
+            Inner::Writer(w) => w,
+            Inner::Reader(r) => r,
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        match self {
+            Inner::Writer(w) => w.is_idle(),
+            Inner::Reader(r) => r.is_idle(),
+        }
+    }
+
+    fn state_digest(&self) -> u64 {
+        match self {
+            Inner::Writer(w) => w.state_digest(),
+            Inner::Reader(r) => r.state_digest(),
+        }
+    }
+
+    fn set_obs(&mut self, obs: Obs) {
+        match self {
+            Inner::Writer(w) => w.set_obs(obs),
+            Inner::Reader(r) => r.set_obs(obs),
+        }
+    }
+
+    fn resend_round(&mut self, ctx: &mut Context<StorageMsg>) -> bool {
+        match self {
+            Inner::Writer(w) => w.resend_round(ctx),
+            Inner::Reader(r) => r.resend_round(ctx),
+        }
+    }
+
+    /// Invokes `op` — an op of this lane's kind — under `round_timeout`.
+    fn start(&mut self, op: KvOp, round_timeout: u64, ctx: &mut Context<StorageMsg>) {
+        match (self, op) {
+            (Inner::Writer(w), KvOp::Write { value, .. }) => {
+                w.set_round_timeout(round_timeout);
+                w.start_write(value, ctx);
+            }
+            (Inner::Reader(r), KvOp::Read { .. }) => {
+                r.set_round_timeout(round_timeout);
+                r.start_read(ctx);
+            }
+            _ => unreachable!("an op runs on the lane of its kind"),
+        }
+    }
+
+    /// Moves every completed op out of the automaton, in completion
+    /// order, as `(kind, pair, rounds, invoked_at, completed_at)`.
+    fn drain_outcomes(&mut self, mut f: impl FnMut(OpKind, TsVal, usize, Time, Time)) {
+        match self {
+            Inner::Writer(w) => w.drain_outcomes().for_each(|o| {
+                let pair = TsVal::new(o.ts, o.val);
+                f(OpKind::Write, pair, o.rounds, o.invoked_at, o.completed_at)
+            }),
+            Inner::Reader(r) => r.drain_outcomes().for_each(|o| {
+                f(
+                    OpKind::Read,
+                    o.returned,
+                    o.rounds,
+                    o.invoked_at,
+                    o.completed_at,
+                )
+            }),
+        }
+    }
+}
+
+/// Everything the client keeps about one `(object, lane)` stream.
 #[derive(Debug)]
-pub struct KvClient {
+struct LaneState {
+    /// The lane's protocol automaton.
+    inner: Inner,
+    /// Admitted ops waiting for the active one, FIFO.
+    backlog: VecDeque<Backlogged>,
+    /// `(seq, queued_ticks)` of the active op: present exactly while the
+    /// inner automaton is busy, and taken by the op's completion.
+    active: Option<(u64, u64)>,
+    /// The last few rounds the lane broadcast, newest at the back.
+    stamps: VecDeque<RoundStamp>,
+    /// Armed while a round outlives its timer.
+    watchdog: Option<Watchdog>,
+    /// Nudges the active op has had.
+    nudges: u32,
+}
+
+/// The client's state outside its lane records: what a lane's step reads
+/// and writes besides its own record.
+#[derive(Debug)]
+struct Shared {
     rqs: Arc<Rqs>,
     servers: Vec<NodeId>,
-    owned: BTreeSet<ObjectId>,
-    writers: BTreeMap<ObjectId, Writer>,
-    readers: BTreeMap<ObjectId, Reader>,
     /// Per-destination outgoing buffer, flushed once per step.
     pending: BatchAccumulator,
-    /// Monotone counter seeding inner contexts: inner tokens are unique
-    /// across all inner automata of this client.
-    inner_counter: u64,
-    /// Outer timer token → the inner automaton and token it stands for.
-    timer_routes: BTreeMap<u64, TimerRoute>,
-    /// Inner token → the outer token armed for it (for cancellation).
-    timer_back: BTreeMap<u64, u64>,
-    /// Harvested writer outcomes per object (consumption cursor).
-    taken_w: BTreeMap<ObjectId, usize>,
-    /// Harvested reader outcomes per object.
-    taken_r: BTreeMap<ObjectId, usize>,
+    /// The context inner automata step in (empty between inner steps;
+    /// kept for its buffers).
+    inner_ctx: Context<StorageMsg>,
+    /// Outer timer token → the lane whose inner round timer or watchdog
+    /// it is.
+    tokens: BTreeMap<u64, (ObjectId, Lane)>,
     outcomes: Vec<KvOutcome>,
     in_flight: usize,
-    /// Outer watchdog token → the lane it guards.
-    retry_timers: BTreeMap<u64, (ObjectId, Lane)>,
-    /// The armed watchdog of each lane whose round outlived its timer.
-    lane_retry: BTreeMap<(ObjectId, Lane), LaneRetry>,
     retry_stats: RetryStats,
     /// Structured-trace handle; per-object copies (tagged with the object
     /// id) are installed on inner automata as they are created.
     obs: Obs,
-    /// Nudges issued per in-flight lane, consumed into
-    /// [`KvOutcome::retries`] at harvest.
-    lane_nudges: BTreeMap<(ObjectId, Lane), u32>,
-    /// Max outstanding (active + backlogged) ops per `(object, lane)`.
-    pipeline: usize,
-    /// Admitted-but-not-launched ops per lane, FIFO.
-    backlog: BTreeMap<(ObjectId, Lane), VecDeque<Backlogged>>,
-    /// `(seq, queued_ticks)` of the op currently active on each lane,
-    /// consumed into the outcome at harvest.
-    lane_meta: BTreeMap<(ObjectId, Lane), (u64, u64)>,
-    /// Highest `seq` harvested per lane (debug check: program order).
-    lane_done: BTreeMap<(ObjectId, Lane), u64>,
-    /// Next admission sequence number.
-    next_seq: u64,
     /// Observed round trips; every launch takes its round timer from it.
     rtt: RttEstimate,
-    /// The last few rounds each lane broadcast, newest at the back.
-    round_stamps: BTreeMap<(ObjectId, Lane), VecDeque<RoundStamp>>,
+}
+
+impl Shared {
+    /// The inner context, opened for an inner step inside the outer step
+    /// `ctx` at its timer counter: the inner automaton's tokens are the
+    /// ones `ctx` will hand out next.
+    fn open_inner(&mut self, ctx: &Context<KvBatch>) -> &mut Context<StorageMsg> {
+        self.inner_ctx
+            .reset(ctx.me(), ctx.now(), ctx.timer_counter_snapshot());
+        &mut self.inner_ctx
+    }
+}
+
+impl LaneState {
+    fn new((object, lane): (ObjectId, Lane), sh: &Shared) -> Self {
+        let (rqs, servers) = (sh.rqs.clone(), sh.servers.clone());
+        let mut inner = match lane {
+            Lane::Writer => Inner::Writer(Writer::new(rqs, servers)),
+            Lane::Reader => Inner::Reader(Reader::new(rqs, servers)),
+        };
+        inner.set_obs(sh.obs.with_tag(object.0));
+        LaneState {
+            inner,
+            backlog: VecDeque::new(),
+            active: None,
+            stamps: VecDeque::with_capacity(STAMPS_PER_LANE),
+            watchdog: None,
+            nudges: 0,
+        }
+    }
+
+    /// Invokes one admitted op on the inner automaton. `queued_ticks` is
+    /// the time it spent in the backlog (0 for ops that launch in their
+    /// admission step).
+    fn launch(
+        &mut self,
+        key: (ObjectId, Lane),
+        (seq, queued_ticks, op): (u64, u64, KvOp),
+        sh: &mut Shared,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        if queued_ticks > 0 && sh.obs.enabled() {
+            sh.obs.with_tag(key.0 .0).emit(
+                TraceKind::QueueWait,
+                ctx.now().ticks(),
+                ctx.me().0 as u64,
+                lane_tag(key.1),
+                queued_ticks,
+                self.backlog.len() as u64,
+            );
+        }
+        self.active = Some((seq, queued_ticks));
+        let round_timeout = sh.rtt.round_timeout();
+        self.inner.start(op, round_timeout, sh.open_inner(ctx));
+        self.absorb(key, sh, ctx);
+    }
+
+    /// Folds the inner step just taken into the client: buffers its
+    /// sends, arms its timers on the outer context under the same tokens,
+    /// forwards its cancellations and harvests what it completed. A new
+    /// round takes the watchdog off the one it succeeds; if it has no
+    /// timer of its own (the last round of an op waits for a quorum and
+    /// nothing else) its watchdog is armed here, one round timer out. A
+    /// lane that went idle launches its next backlogged op — in the same
+    /// step, so its round-1 messages ride the same flush.
+    fn absorb(&mut self, key: (ObjectId, Lane), sh: &mut Shared, ctx: &mut Context<KvBatch>) {
+        let first = sh.inner_ctx.sent().first();
+        if first.is_some_and(|(_, msg)| self.stamp_round(round_key(msg), ctx.now())) {
+            self.disarm_watchdog(sh, ctx);
+            if sh.inner_ctx.armed_timers().is_empty() {
+                self.arm_watchdog(key, 0, sh.rtt.round_timeout(), sh, ctx);
+            }
+        }
+        sh.pending.absorb(key.0, key.1, sh.inner_ctx.drain_sent());
+        for &(delay, token) in sh.inner_ctx.armed_timers() {
+            let outer = ctx.set_timer(delay);
+            debug_assert_eq!(
+                outer, token,
+                "the inner context opened at the outer counter"
+            );
+            sh.tokens.insert(outer.0, key);
+        }
+        for &token in sh.inner_ctx.cancelled_timers() {
+            if sh.tokens.remove(&token.0).is_some() {
+                ctx.cancel_timer(token);
+            }
+        }
+        self.harvest(key.0, sh);
+        if self.inner.is_idle() {
+            self.disarm_watchdog(sh, ctx);
+            if let Some((seq, admitted_at, op)) = self.backlog.pop_front() {
+                let queued = ctx.now().ticks().saturating_sub(admitted_at.ticks());
+                self.launch(key, (seq, queued, op), sh, ctx);
+            }
+        }
+    }
+
+    /// Moves the ops the inner automaton completed into the outcome log,
+    /// each with its admission record and nudge count.
+    fn harvest(&mut self, object: ObjectId, sh: &mut Shared) {
+        let (active, nudges) = (&mut self.active, &mut self.nudges);
+        self.inner
+            .drain_outcomes(|kind, pair, rounds, invoked_at, completed_at| {
+                let (seq, queued_ticks) = active
+                    .take()
+                    .expect("a completed op was admitted on its lane");
+                sh.outcomes.push(KvOutcome {
+                    object,
+                    kind,
+                    pair,
+                    rounds,
+                    invoked_at,
+                    completed_at,
+                    retries: std::mem::take(nudges),
+                    seq,
+                    queued_ticks,
+                });
+                sh.in_flight -= 1;
+            });
+    }
+
+    /// Notes that the lane broadcast round `key` now; `true` iff the
+    /// round is new. An inner automaton broadcasts a round once: seeing
+    /// the lane's newest round again means the watchdog nudged it.
+    fn stamp_round(&mut self, key: RoundKey, now: Time) -> bool {
+        match self.stamps.back_mut() {
+            Some(newest) if newest.key == key => {
+                if newest.acks == AckWorth::Sample {
+                    newest.acks = AckWorth::Bound;
+                }
+                false
+            }
+            _ => {
+                if self.stamps.len() == STAMPS_PER_LANE {
+                    self.stamps.pop_front();
+                }
+                self.stamps.push_back(RoundStamp {
+                    key,
+                    sent_at: now,
+                    acks: AckWorth::Sample,
+                });
+                true
+            }
+        }
+    }
+
+    /// The round the lane broadcast last.
+    fn newest_round(&self) -> Option<RoundKey> {
+        self.stamps.back().map(|s| s.key)
+    }
+
+    /// Feeds `rtt` with an ack's round trip, if the round it answers is
+    /// still remembered: a sample when the round was broadcast exactly
+    /// once, an upper bound (once) when the watchdog re-broadcast it.
+    /// Acks count whether or not the round is still open: one that lands
+    /// after its timer fired is the sample a too-small timer needs to
+    /// grow.
+    fn sample_ack(&mut self, key: RoundKey, now: Time, rtt: &mut RttEstimate) {
+        if let Some(stamp) = self.stamps.iter_mut().rev().find(|s| s.key == key) {
+            let ticks = now.ticks().saturating_sub(stamp.sent_at.ticks());
+            match stamp.acks {
+                AckWorth::Sample => rtt.record(ticks),
+                AckWorth::Bound => {
+                    rtt.record_bound(ticks);
+                    stamp.acks = AckWorth::Nothing;
+                }
+                AckWorth::Nothing => {}
+            }
+        }
+    }
+
+    /// Arms the lane's watchdog for the nudge after `nudges` earlier ones
+    /// of its current round, `lead` ticks later than the interval alone.
+    fn arm_watchdog(
+        &mut self,
+        key: (ObjectId, Lane),
+        nudges: u32,
+        lead: u64,
+        sh: &mut Shared,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        debug_assert!(self.watchdog.is_none(), "one watchdog per lane");
+        let seed = rqs_sim::fnv1a_fold(
+            rqs_sim::fnv1a_fold(ctx.me().0 as u64, key.0 .0),
+            lane_bit(key.1),
+        );
+        let delay = lead + sh.rtt.nudge_delay(seed, nudges);
+        let token = ctx.set_timer(delay);
+        sh.tokens.insert(token.0, key);
+        self.watchdog = Some(Watchdog {
+            attempt: nudges,
+            token: token.0,
+            delay,
+            due: Time(ctx.now().ticks() + delay),
+        });
+    }
+
+    /// Takes the lane's watchdog off: its round ended.
+    fn disarm_watchdog(&mut self, sh: &mut Shared, ctx: &mut Context<KvBatch>) {
+        if let Some(w) = self.watchdog.take() {
+            sh.tokens.remove(&w.token);
+            ctx.cancel_timer(TimerToken(w.token));
+        }
+    }
+
+    /// Watchdog expiry: nudge the still-silent round (re-broadcast it —
+    /// never re-invoke) and re-arm at twice the interval, up to the cap.
+    fn fire_watchdog(
+        &mut self,
+        key: (ObjectId, Lane),
+        sh: &mut Shared,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        let w = self.watchdog.take().expect("fired by its own token");
+        sh.retry_stats.retries_issued += 1;
+        sh.retry_stats.backoff_ticks += w.delay;
+        self.nudges += 1;
+        if sh.obs.enabled() {
+            sh.obs.with_tag(key.0 .0).emit(
+                TraceKind::RetryNudged,
+                ctx.now().ticks(),
+                ctx.me().0 as u64,
+                lane_tag(key.1),
+                w.attempt as u64,
+                w.delay,
+            );
+        }
+        if self.inner.resend_round(sh.open_inner(ctx)) {
+            self.absorb(key, sh, ctx);
+            self.arm_watchdog(key, w.attempt + 1, 0, sh, ctx);
+        }
+    }
+
+    /// The inner round timer `timer` fired.
+    fn fire_round_timer(
+        &mut self,
+        key: (ObjectId, Lane),
+        timer: TimerToken,
+        sh: &mut Shared,
+        ctx: &mut Context<KvBatch>,
+    ) {
+        let timed = self.newest_round();
+        self.inner.automaton().on_timer(timer, sh.open_inner(ctx));
+        self.absorb(key, sh, ctx);
+        // The round outlived its timer (no quorum to classify yet): from
+        // here on it waits for acks alone, so the watchdog takes over. A
+        // round decided inside its timer never gets this far.
+        if !self.inner.is_idle() && self.newest_round() == timed {
+            self.arm_watchdog(key, 0, 0, sh, ctx);
+        }
+    }
+
+    /// What the watchdog of lane `(object, lane)` knows at `now`.
+    fn watchdog_line(
+        &self,
+        (object, lane): (ObjectId, Lane),
+        rtt: &RttEstimate,
+        now: Time,
+    ) -> String {
+        let next = match &self.watchdog {
+            Some(w) => format!(
+                "next nudge in {} ticks",
+                w.due.ticks().saturating_sub(now.ticks())
+            ),
+            None => "round inside its timer, no nudge due".to_string(),
+        };
+        format!(
+            "{object} {lane:?} watchdog: round trip {} ticks (estimate {}, nudged-round bound {}), \
+             round timer {}, {} nudges, {next}",
+            rtt.round_trip(),
+            rtt.estimate(),
+            rtt.bound,
+            rtt.round_timeout(),
+            self.nudges,
+        )
+    }
+}
+
+/// The multi-object KV client automaton.
+#[derive(Debug)]
+pub struct KvClient {
+    owned: BTreeSet<ObjectId>,
+    /// Max outstanding (active + backlogged) ops per `(object, lane)`.
+    pipeline: usize,
+    /// Next admission sequence number.
+    next_seq: u64,
+    /// One record per `(object, lane)` stream, created by its first op.
+    lanes: BTreeMap<(ObjectId, Lane), LaneState>,
+    shared: Shared,
 }
 
 impl KvClient {
@@ -396,31 +770,22 @@ impl KvClient {
         owned: impl IntoIterator<Item = ObjectId>,
     ) -> Self {
         KvClient {
-            rqs,
-            servers,
             owned: owned.into_iter().collect(),
-            writers: BTreeMap::new(),
-            readers: BTreeMap::new(),
-            pending: BatchAccumulator::new(),
-            inner_counter: 0,
-            timer_routes: BTreeMap::new(),
-            timer_back: BTreeMap::new(),
-            taken_w: BTreeMap::new(),
-            taken_r: BTreeMap::new(),
-            outcomes: Vec::new(),
-            in_flight: 0,
-            retry_timers: BTreeMap::new(),
-            lane_retry: BTreeMap::new(),
-            retry_stats: RetryStats::default(),
-            obs: Obs::nop(),
-            lane_nudges: BTreeMap::new(),
             pipeline: 1,
-            backlog: BTreeMap::new(),
-            lane_meta: BTreeMap::new(),
-            lane_done: BTreeMap::new(),
             next_seq: 0,
-            rtt: RttEstimate::default(),
-            round_stamps: BTreeMap::new(),
+            lanes: BTreeMap::new(),
+            shared: Shared {
+                rqs,
+                servers,
+                pending: BatchAccumulator::new(),
+                inner_ctx: Context::new(NodeId(0), Time::ZERO, 0),
+                tokens: BTreeMap::new(),
+                outcomes: Vec::new(),
+                in_flight: 0,
+                retry_stats: RetryStats::default(),
+                obs: Obs::nop(),
+                rtt: RttEstimate::default(),
+            },
         }
     }
 
@@ -428,18 +793,15 @@ impl KvClient {
     /// now on emit under their object id as the `op` tag; automata that
     /// already exist are re-tagged too.
     pub fn set_obs(&mut self, obs: Obs) {
-        for (obj, w) in &mut self.writers {
-            w.set_obs(obs.with_tag(obj.0));
+        for (&(obj, _), st) in &mut self.lanes {
+            st.inner.set_obs(obs.with_tag(obj.0));
         }
-        for (obj, r) in &mut self.readers {
-            r.set_obs(obs.with_tag(obj.0));
-        }
-        self.obs = obs;
+        self.shared.obs = obs;
     }
 
     /// Retry counters accumulated so far.
     pub fn retry_stats(&self) -> RetryStats {
-        self.retry_stats
+        self.shared.retry_stats
     }
 
     /// Objects this client owns.
@@ -466,17 +828,24 @@ impl KvClient {
 
     /// Operations admitted (active or backlogged) but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.shared.in_flight
     }
 
     /// Operations sitting in lane backlogs, not yet launched.
     pub fn backlogged(&self) -> usize {
-        self.backlog.values().map(VecDeque::len).sum()
+        self.lanes.values().map(|st| st.backlog.len()).sum()
     }
 
     /// Completed operations, in completion order.
     pub fn outcomes(&self) -> &[KvOutcome] {
-        &self.outcomes
+        &self.shared.outcomes
+    }
+
+    /// Timers the client has armed that have neither fired nor been
+    /// cancelled: inner round timers and watchdogs. Zero whenever every
+    /// lane is idle.
+    pub fn pending_timers(&self) -> usize {
+        self.shared.tokens.len()
     }
 
     /// Debug rendering of every non-idle `(object, lane)` inner
@@ -486,43 +855,25 @@ impl KvClient {
     /// is or is not re-sending.
     pub fn stuck_lanes(&self, now: Time) -> Vec<String> {
         let mut lanes = Vec::new();
-        for (obj, w) in &self.writers {
-            if !w.is_idle() {
-                lanes.push(format!("{obj} writer: {w:?}"));
-                lanes.push(self.watchdog_line(*obj, Lane::Writer, now));
+        for (&key, st) in &self.lanes {
+            if !st.inner.is_idle() {
+                let name = match key.1 {
+                    Lane::Writer => "writer",
+                    Lane::Reader => "reader",
+                };
+                lanes.push(format!("{} {name}: {:?}", key.0, st.inner));
+                lanes.push(st.watchdog_line(key, &self.shared.rtt, now));
             }
         }
-        for (obj, r) in &self.readers {
-            if !r.is_idle() {
-                lanes.push(format!("{obj} reader: {r:?}"));
-                lanes.push(self.watchdog_line(*obj, Lane::Reader, now));
-            }
-        }
-        for ((obj, lane), q) in &self.backlog {
-            if !q.is_empty() {
-                lanes.push(format!("{obj} {lane:?} backlog: {} queued", q.len()));
+        for (&(obj, lane), st) in &self.lanes {
+            if !st.backlog.is_empty() {
+                lanes.push(format!(
+                    "{obj} {lane:?} backlog: {} queued",
+                    st.backlog.len()
+                ));
             }
         }
         lanes
-    }
-
-    fn watchdog_line(&self, object: ObjectId, lane: Lane, now: Time) -> String {
-        let next = match self.lane_retry.get(&(object, lane)) {
-            Some(st) => format!(
-                "next nudge in {} ticks",
-                st.due.ticks().saturating_sub(now.ticks())
-            ),
-            None => "round inside its timer, no nudge due".to_string(),
-        };
-        format!(
-            "{object} {lane:?} watchdog: round trip {} ticks (estimate {}, nudged-round bound {}), \
-             round timer {}, {} nudges, {next}",
-            self.rtt.round_trip(),
-            self.rtt.estimate(),
-            self.rtt.bound,
-            self.rtt.round_timeout(),
-            self.lane_nudges.get(&(object, lane)).copied().unwrap_or(0),
-        )
     }
 
     /// Starts a batch of operations in one step: all their round-1
@@ -539,362 +890,38 @@ impl KvClient {
     /// object this client does not own (SWMR violation).
     pub fn start_ops(&mut self, ops: Vec<KvOp>, ctx: &mut Context<KvBatch>) {
         for op in ops {
-            if let KvOp::Write { object, .. } = &op {
-                assert!(
-                    self.owned.contains(object),
-                    "client is not the owner of {object}: SWMR violation"
-                );
-            }
             let object = op.object();
             let lane = match op.kind() {
-                OpKind::Write => Lane::Writer,
+                OpKind::Write => {
+                    assert!(
+                        self.owned.contains(&object),
+                        "client is not the owner of {object}: SWMR violation"
+                    );
+                    Lane::Writer
+                }
                 OpKind::Read => Lane::Reader,
             };
+            let key = (object, lane);
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.in_flight += 1;
-            let key = (object, lane);
-            let busy = !self.lane_idle(object, lane)
-                || self.backlog.get(&key).is_some_and(|q| !q.is_empty());
-            if busy {
-                let q = self.backlog.entry(key).or_default();
+            let sh = &mut self.shared;
+            sh.in_flight += 1;
+            let st = self
+                .lanes
+                .entry(key)
+                .or_insert_with(|| LaneState::new(key, sh));
+            if st.active.is_some() {
                 assert!(
-                    q.len() + 1 < self.pipeline,
+                    st.backlog.len() + 1 < self.pipeline,
                     "pipeline depth {} exceeded on {object} {lane:?}",
                     self.pipeline
                 );
-                q.push_back((seq, ctx.now(), op));
+                st.backlog.push_back((seq, ctx.now(), op));
             } else {
-                self.launch(seq, 0, op, ctx);
+                st.launch(key, (seq, 0, op), sh, ctx);
             }
         }
-        self.flush(ctx);
-    }
-
-    /// Invokes one admitted op on its inner automaton. `queued_ticks` is
-    /// the time it spent in the lane backlog (0 for ops that launch in
-    /// their admission step).
-    fn launch(&mut self, seq: u64, queued_ticks: u64, op: KvOp, ctx: &mut Context<KvBatch>) {
-        let object = op.object();
-        let lane = match op.kind() {
-            OpKind::Write => Lane::Writer,
-            OpKind::Read => Lane::Reader,
-        };
-        if queued_ticks > 0 && self.obs.enabled() {
-            let behind = self
-                .backlog
-                .get(&(object, lane))
-                .map_or(0, |q| q.len() as u64);
-            self.obs.with_tag(object.0).emit(
-                TraceKind::QueueWait,
-                ctx.now().ticks(),
-                ctx.me().0 as u64,
-                lane_tag(lane),
-                queued_ticks,
-                behind,
-            );
-        }
-        self.lane_meta.insert((object, lane), (seq, queued_ticks));
-        match op {
-            KvOp::Write { object, value } => {
-                let (rqs, servers, obs) = (&self.rqs, &self.servers, &self.obs);
-                let writer = self.writers.entry(object).or_insert_with(|| {
-                    let mut w = Writer::new(rqs.clone(), servers.clone());
-                    w.set_obs(obs.with_tag(object.0));
-                    w
-                });
-                writer.set_round_timeout(self.rtt.round_timeout());
-                let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                writer.start_write(value, &mut inner);
-                self.absorb(object, Lane::Writer, inner, ctx);
-            }
-            KvOp::Read { object } => {
-                let (rqs, servers, obs) = (&self.rqs, &self.servers, &self.obs);
-                let reader = self.readers.entry(object).or_insert_with(|| {
-                    let mut r = Reader::new(rqs.clone(), servers.clone());
-                    r.set_obs(obs.with_tag(object.0));
-                    r
-                });
-                reader.set_round_timeout(self.rtt.round_timeout());
-                let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                reader.start_read(&mut inner);
-                self.absorb(object, Lane::Reader, inner, ctx);
-            }
-        }
-    }
-
-    /// Launches the next backlogged op of a lane that just went idle —
-    /// in the same step, so its round-1 messages ride the same flush.
-    fn pump(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        if !self.lane_idle(object, lane) {
-            return;
-        }
-        let Some(q) = self.backlog.get_mut(&(object, lane)) else {
-            return;
-        };
-        let Some((seq, admitted_at, op)) = q.pop_front() else {
-            return;
-        };
-        let queued = ctx.now().ticks().saturating_sub(admitted_at.ticks());
-        self.launch(seq, queued, op, ctx);
-    }
-
-    /// Folds one inner step's outputs into the client state: buffers
-    /// sends, re-arms timers on the outer context, forwards cancellations
-    /// and harvests newly completed operations. A new round takes the
-    /// watchdog off the one it succeeds; if it has no timer of its own
-    /// (the last round of an op waits for a quorum and nothing else) its
-    /// watchdog is armed here, one round timer out.
-    fn absorb(
-        &mut self,
-        object: ObjectId,
-        lane: Lane,
-        inner: Context<StorageMsg>,
-        ctx: &mut Context<KvBatch>,
-    ) {
-        self.inner_counter = inner.timer_counter_snapshot();
-        let (outbox, timers, cancelled) = inner.into_outputs();
-        let fresh = outbox
-            .first()
-            .is_some_and(|(_, msg)| self.stamp_round(object, lane, round_key(msg), ctx.now()));
-        if fresh {
-            self.disarm_watchdog(object, lane, ctx);
-            if timers.is_empty() {
-                self.arm_watchdog(object, lane, 0, self.rtt.round_timeout(), ctx);
-            }
-        }
-        self.pending.absorb(object, lane, outbox);
-        for (delay, inner_token) in timers {
-            let outer = ctx.set_timer(delay);
-            self.timer_routes.insert(
-                outer.0,
-                TimerRoute {
-                    object,
-                    lane,
-                    inner: inner_token,
-                },
-            );
-            self.timer_back.insert(inner_token.0, outer.0);
-        }
-        for inner_token in cancelled {
-            if let Some(outer) = self.timer_back.remove(&inner_token.0) {
-                self.timer_routes.remove(&outer);
-                ctx.cancel_timer(TimerToken(outer));
-            }
-        }
-        self.harvest(object, lane);
-        if self.lane_idle(object, lane) {
-            self.disarm_watchdog(object, lane, ctx);
-        }
-        self.pump(object, lane, ctx);
-    }
-
-    /// Notes that `(object, lane)` broadcast round `key` now; `true` iff
-    /// the round is new. An inner automaton broadcasts a round once:
-    /// seeing the lane's newest round again means the watchdog nudged it.
-    fn stamp_round(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) -> bool {
-        let stamps = self.round_stamps.entry((object, lane)).or_default();
-        match stamps.back_mut() {
-            Some(newest) if newest.key == key => {
-                if newest.acks == AckWorth::Sample {
-                    newest.acks = AckWorth::Bound;
-                }
-                false
-            }
-            _ => {
-                if stamps.len() == STAMPS_PER_LANE {
-                    stamps.pop_front();
-                }
-                stamps.push_back(RoundStamp {
-                    key,
-                    sent_at: now,
-                    acks: AckWorth::Sample,
-                });
-                true
-            }
-        }
-    }
-
-    /// The round `(object, lane)` broadcast last.
-    fn newest_round(&self, object: ObjectId, lane: Lane) -> Option<RoundKey> {
-        let stamps = self.round_stamps.get(&(object, lane))?;
-        stamps.back().map(|s| s.key)
-    }
-
-    /// Feeds the estimate with an ack's round trip, if the round it
-    /// answers is still remembered: a sample when the round was broadcast
-    /// exactly once, an upper bound (once) when the watchdog re-broadcast
-    /// it. Acks count whether or not the round is still open: one that
-    /// lands after its timer fired is the sample a too-small timer needs
-    /// to grow.
-    fn sample_ack(&mut self, object: ObjectId, lane: Lane, key: RoundKey, now: Time) {
-        let Some(stamps) = self.round_stamps.get_mut(&(object, lane)) else {
-            return;
-        };
-        if let Some(stamp) = stamps.iter_mut().rev().find(|s| s.key == key) {
-            let ticks = now.ticks().saturating_sub(stamp.sent_at.ticks());
-            match stamp.acks {
-                AckWorth::Sample => self.rtt.record(ticks),
-                AckWorth::Bound => {
-                    self.rtt.record_bound(ticks);
-                    stamp.acks = AckWorth::Nothing;
-                }
-                AckWorth::Nothing => {}
-            }
-        }
-    }
-
-    /// `true` iff the `(object, lane)` inner automaton has no operation
-    /// in progress.
-    fn lane_idle(&self, object: ObjectId, lane: Lane) -> bool {
-        match lane {
-            Lane::Writer => self.writers.get(&object).is_none_or(Writer::is_idle),
-            Lane::Reader => self.readers.get(&object).is_none_or(Reader::is_idle),
-        }
-    }
-
-    /// Arms the lane's watchdog for the nudge after `nudges` earlier ones
-    /// of its current round, `lead` ticks later than the interval alone.
-    fn arm_watchdog(
-        &mut self,
-        object: ObjectId,
-        lane: Lane,
-        nudges: u32,
-        lead: u64,
-        ctx: &mut Context<KvBatch>,
-    ) {
-        let seed = rqs_sim::fnv1a_fold(
-            rqs_sim::fnv1a_fold(ctx.me().0 as u64, object.0),
-            lane_bit(lane),
-        );
-        let delay = lead + self.rtt.nudge_delay(seed, nudges);
-        let token = ctx.set_timer(delay);
-        self.retry_timers.insert(token.0, (object, lane));
-        self.lane_retry.insert(
-            (object, lane),
-            LaneRetry {
-                attempt: nudges,
-                token: token.0,
-                delay,
-                due: Time(ctx.now().ticks() + delay),
-            },
-        );
-    }
-
-    /// Takes the lane's watchdog off: its round ended.
-    fn disarm_watchdog(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        if let Some(st) = self.lane_retry.remove(&(object, lane)) {
-            self.retry_timers.remove(&st.token);
-            ctx.cancel_timer(TimerToken(st.token));
-        }
-    }
-
-    /// Watchdog expiry: nudge the still-silent round (re-broadcast it —
-    /// never re-invoke) and re-arm at twice the interval, up to the cap.
-    fn fire_watchdog(&mut self, object: ObjectId, lane: Lane, ctx: &mut Context<KvBatch>) {
-        let Some(st) = self.lane_retry.remove(&(object, lane)) else {
-            return; // kept in step with `retry_timers`
-        };
-        self.retry_stats.retries_issued += 1;
-        self.retry_stats.backoff_ticks += st.delay;
-        *self.lane_nudges.entry((object, lane)).or_insert(0) += 1;
-        if self.obs.enabled() {
-            self.obs.with_tag(object.0).emit(
-                TraceKind::RetryNudged,
-                ctx.now().ticks(),
-                ctx.me().0 as u64,
-                lane_tag(lane),
-                st.attempt as u64,
-                st.delay,
-            );
-        }
-        let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-        let resent = match lane {
-            Lane::Writer => self
-                .writers
-                .get_mut(&object)
-                .is_some_and(|w| w.resend_round(&mut inner)),
-            Lane::Reader => self
-                .readers
-                .get_mut(&object)
-                .is_some_and(|r| r.resend_round(&mut inner)),
-        };
-        if resent {
-            self.absorb(object, lane, inner, ctx);
-            self.arm_watchdog(object, lane, st.attempt + 1, 0, ctx);
-        }
-    }
-
-    /// Pulls newly completed outcomes from the inner automaton on
-    /// `(object, lane)` into the flat outcome log.
-    fn harvest(&mut self, object: ObjectId, lane: Lane) {
-        match lane {
-            Lane::Writer => {
-                let Some(w) = self.writers.get(&object) else {
-                    return;
-                };
-                let cursor = self.taken_w.entry(object).or_insert(0);
-                for out in &w.outcomes()[*cursor..] {
-                    let retries = self.lane_nudges.remove(&(object, lane)).unwrap_or(0);
-                    let (seq, queued_ticks) =
-                        self.lane_meta.remove(&(object, lane)).unwrap_or((0, 0));
-                    debug_assert!(
-                        self.lane_done
-                            .insert((object, lane), seq)
-                            .is_none_or(|prev| prev < seq),
-                        "lane outcomes must keep program order"
-                    );
-                    self.outcomes.push(KvOutcome {
-                        object,
-                        kind: OpKind::Write,
-                        pair: TsVal::new(out.ts, out.val.clone()),
-                        rounds: out.rounds,
-                        invoked_at: out.invoked_at,
-                        completed_at: out.completed_at,
-                        retries,
-                        seq,
-                        queued_ticks,
-                    });
-                    self.in_flight -= 1;
-                    *cursor += 1;
-                }
-            }
-            Lane::Reader => {
-                let Some(r) = self.readers.get(&object) else {
-                    return;
-                };
-                let cursor = self.taken_r.entry(object).or_insert(0);
-                for out in &r.outcomes()[*cursor..] {
-                    let retries = self.lane_nudges.remove(&(object, lane)).unwrap_or(0);
-                    let (seq, queued_ticks) =
-                        self.lane_meta.remove(&(object, lane)).unwrap_or((0, 0));
-                    debug_assert!(
-                        self.lane_done
-                            .insert((object, lane), seq)
-                            .is_none_or(|prev| prev < seq),
-                        "lane outcomes must keep program order"
-                    );
-                    self.outcomes.push(KvOutcome {
-                        object,
-                        kind: OpKind::Read,
-                        pair: out.returned.clone(),
-                        rounds: out.rounds,
-                        invoked_at: out.invoked_at,
-                        completed_at: out.completed_at,
-                        retries,
-                        seq,
-                        queued_ticks,
-                    });
-                    self.in_flight -= 1;
-                    *cursor += 1;
-                }
-            }
-        }
-    }
-
-    /// Sends every buffered item as one batch per destination.
-    fn flush(&mut self, ctx: &mut Context<KvBatch>) {
-        self.pending.flush(ctx);
+        self.shared.pending.flush(ctx);
     }
 
     /// One step over the queued `envelopes`: every item of every envelope
@@ -910,62 +937,46 @@ impl KvClient {
                 self.dispatch(from, item, ctx);
             }
         }
-        self.flush(ctx);
+        self.shared.pending.flush(ctx);
     }
 
-    /// Routes one incoming item to the inner automaton it addresses.
+    /// Routes one incoming item to the lane it addresses.
     fn dispatch(&mut self, from: NodeId, item: KvItem, ctx: &mut Context<KvBatch>) {
         let KvItem { object, lane, msg } = item;
-        self.sample_ack(object, lane, round_key(&msg), ctx.now());
-        match lane {
-            Lane::Writer => {
-                let Some(writer) = self.writers.get_mut(&object) else {
-                    return; // stale reply for an automaton never created
-                };
-                let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                writer.on_message(from, msg, &mut inner);
-                self.absorb(object, Lane::Writer, inner, ctx);
-            }
-            Lane::Reader => {
-                let Some(reader) = self.readers.get_mut(&object) else {
-                    return;
-                };
-                let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                reader.on_message(from, msg, &mut inner);
-                self.absorb(object, Lane::Reader, inner, ctx);
-            }
-        }
+        let key = (object, lane);
+        let Some(st) = self.lanes.get_mut(&key) else {
+            return; // stale reply for a lane that never ran an op
+        };
+        let sh = &mut self.shared;
+        st.sample_ack(round_key(&msg), ctx.now(), &mut sh.rtt);
+        st.inner
+            .automaton()
+            .on_message(from, msg, sh.open_inner(ctx));
+        st.absorb(key, sh, ctx);
     }
 }
 
 impl Automaton<KvBatch> for KvClient {
     fn state_digest(&self) -> u64 {
         let mut acc = rqs_sim::fnv1a(b"kv-client");
-        for (obj, w) in &self.writers {
+        for (&(obj, lane), st) in &self.lanes {
             acc = rqs_sim::fnv1a_fold(acc, obj.0);
-            acc = rqs_sim::fnv1a_fold(acc, w.state_digest());
+            acc = rqs_sim::fnv1a_fold(acc, lane_bit(lane));
+            acc = rqs_sim::fnv1a_fold(acc, st.inner.state_digest());
+            acc = rqs_sim::fnv1a_fold(
+                acc,
+                st.watchdog.as_ref().map_or(0, |w| 1 + w.attempt as u64),
+            );
+            acc = rqs_sim::fnv1a_fold(acc, st.backlog.len() as u64);
         }
-        for (obj, r) in &self.readers {
-            acc = rqs_sim::fnv1a_fold(acc, obj.0);
-            acc = rqs_sim::fnv1a_fold(acc, r.state_digest());
-        }
-        for ((obj, lane), st) in &self.lane_retry {
-            acc = rqs_sim::fnv1a_fold(acc, obj.0);
-            acc = rqs_sim::fnv1a_fold(acc, lane_bit(*lane));
-            acc = rqs_sim::fnv1a_fold(acc, st.attempt as u64);
-        }
-        acc = rqs_sim::fnv1a_fold(acc, self.retry_stats.retries_issued);
+        let sh = &self.shared;
+        acc = rqs_sim::fnv1a_fold(acc, sh.retry_stats.retries_issued);
         acc = rqs_sim::fnv1a_fold(acc, self.next_seq);
-        let rtt = &self.rtt;
+        let rtt = &sh.rtt;
         for part in [rtt.filling, rtt.full, rtt.filled as u64, rtt.bound] {
             acc = rqs_sim::fnv1a_fold(acc, part);
         }
-        for ((obj, lane), q) in &self.backlog {
-            acc = rqs_sim::fnv1a_fold(acc, obj.0);
-            acc = rqs_sim::fnv1a_fold(acc, lane_bit(*lane));
-            acc = rqs_sim::fnv1a_fold(acc, q.len() as u64);
-        }
-        rqs_sim::fnv1a_fold(acc, self.in_flight as u64)
+        rqs_sim::fnv1a_fold(acc, sh.in_flight as u64)
     }
 
     /// The step over one envelope.
@@ -982,41 +993,20 @@ impl Automaton<KvBatch> for KvClient {
     }
 
     fn on_timer(&mut self, timer: TimerToken, ctx: &mut Context<KvBatch>) {
-        if let Some((object, lane)) = self.retry_timers.remove(&timer.0) {
-            self.fire_watchdog(object, lane, ctx);
-            self.flush(ctx);
-            return;
-        }
-        let Some(route) = self.timer_routes.remove(&timer.0) else {
+        let Some(key) = self.shared.tokens.remove(&timer.0) else {
             return; // cancelled or unknown
         };
-        self.timer_back.remove(&route.inner.0);
-        let timed = self.newest_round(route.object, route.lane);
-        match route.lane {
-            Lane::Writer => {
-                if let Some(writer) = self.writers.get_mut(&route.object) {
-                    let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                    writer.on_timer(route.inner, &mut inner);
-                    self.absorb(route.object, Lane::Writer, inner, ctx);
-                }
-            }
-            Lane::Reader => {
-                if let Some(reader) = self.readers.get_mut(&route.object) {
-                    let mut inner = Context::new(ctx.me(), ctx.now(), self.inner_counter);
-                    reader.on_timer(route.inner, &mut inner);
-                    self.absorb(route.object, Lane::Reader, inner, ctx);
-                }
-            }
+        let st = self
+            .lanes
+            .get_mut(&key)
+            .expect("a token routes to its lane");
+        let sh = &mut self.shared;
+        if st.watchdog.as_ref().is_some_and(|w| w.token == timer.0) {
+            st.fire_watchdog(key, sh, ctx);
+        } else {
+            st.fire_round_timer(key, timer, sh, ctx);
         }
-        // The round outlived its timer (no quorum to classify yet): from
-        // here on it waits for acks alone, so the watchdog takes over. A
-        // round decided inside its timer never gets this far.
-        if !self.lane_idle(route.object, route.lane)
-            && self.newest_round(route.object, route.lane) == timed
-        {
-            self.arm_watchdog(route.object, route.lane, 0, 0, ctx);
-        }
-        self.flush(ctx);
+        sh.pending.flush(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1220,7 +1210,7 @@ mod tests {
         assert_eq!(c.outcomes().len(), 1);
         assert_eq!(c.outcomes()[0].retries, 0);
         assert_eq!(c.retry_stats(), RetryStats::default());
-        assert!(c.lane_retry.is_empty() && c.retry_timers.is_empty());
+        assert_eq!(c.pending_timers(), 0, "every token fired or was cancelled");
     }
 
     #[test]
@@ -1273,8 +1263,8 @@ mod tests {
         assert_eq!(cx.sent().len(), 5);
         assert_eq!(cx.armed_timers().len(), 1);
         let (delay, watchdog) = cx.armed_timers()[0];
-        let first = c.rtt.round_timeout() + c.rtt.round_trip();
-        assert!((first..=first + c.rtt.round_trip() / 2).contains(&delay));
+        let first = c.shared.rtt.round_timeout() + c.shared.rtt.round_trip();
+        assert!((first..=first + c.shared.rtt.round_trip() / 2).contains(&delay));
         let cx = fire(&mut c, watchdog, 7 + delay);
         assert_eq!(cx.sent().len(), 5, "round 3 re-broadcast");
         assert_eq!(c.retry_stats().retries_issued, 1);
@@ -1348,7 +1338,7 @@ mod tests {
             c.on_message(NodeId(i), wr_ack(1), &mut ctx());
         }
         assert_eq!(c.outcomes().len(), 1);
-        assert_eq!(c.rtt.filled, 4);
+        assert_eq!(c.shared.rtt.filled, 4);
         assert_eq!(launch_write(&mut c, 2, 0).0, CLIENT_TIMEOUT);
     }
 
@@ -1366,8 +1356,8 @@ mod tests {
             let mut cxa = Context::new(NodeId(5), Time(8), 200 + 10 * i as u64);
             c.on_message(NodeId(i), wr_ack(1), &mut cxa);
         }
-        assert_eq!(c.rtt.filled, 5);
-        assert_eq!(c.rtt.round_timeout(), 8 + 4 + 1);
+        assert_eq!(c.shared.rtt.filled, 5);
+        assert_eq!(c.shared.rtt.round_timeout(), 8 + 4 + 1);
         // Finish write 1 (round 2 acks, broadcast at t8, back at t16)…
         for i in 0..3 {
             let ack = KvBatch(vec![KvItem {
@@ -1396,9 +1386,9 @@ mod tests {
             let mut cxa = Context::new(NodeId(5), Time(nudged_at + 2), 200 + i as u64);
             c.on_message(NodeId(i), wr_ack(1), &mut cxa);
         }
-        assert_eq!((c.rtt.filled, c.rtt.estimate()), (0, 0));
-        assert_eq!(c.rtt.round_timeout(), CLIENT_TIMEOUT);
-        assert_eq!(c.rtt.round_trip(), nudged_at + 2);
+        assert_eq!((c.shared.rtt.filled, c.shared.rtt.estimate()), (0, 0));
+        assert_eq!(c.shared.rtt.round_timeout(), CLIENT_TIMEOUT);
+        assert_eq!(c.shared.rtt.round_trip(), nudged_at + 2);
         // The first clean sample (round 2, broadcast once) replaces it.
         let ack = KvBatch(vec![KvItem {
             object: ObjectId(0),
@@ -1410,8 +1400,8 @@ mod tests {
             ack,
             &mut Context::new(NodeId(5), Time(nudged_at + 9), 300),
         );
-        assert_eq!((c.rtt.filled, c.rtt.bound), (1, 0));
-        assert_eq!(c.rtt.round_trip(), 7);
+        assert_eq!((c.shared.rtt.filled, c.shared.rtt.bound), (1, 0));
+        assert_eq!(c.shared.rtt.round_trip(), 7);
     }
 
     #[test]

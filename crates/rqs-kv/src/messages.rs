@@ -11,7 +11,6 @@ use crate::object::ObjectId;
 use core::fmt;
 use rqs_sim::{Context, NodeId};
 use rqs_storage::StorageMsg;
-use std::collections::BTreeMap;
 
 /// Which client-side automaton a message belongs to.
 ///
@@ -86,16 +85,17 @@ impl fmt::Display for KvBatch {
 /// far fewer than `B×` envelopes.
 ///
 /// The accumulator is built to live across steps: a flush empties the
-/// per-destination buffers but keeps the map nodes, so a long-lived
-/// accumulator cycling over a fixed destination set (a client talking to
-/// its universe, a server answering its clients) stops allocating map
-/// nodes after the first wave.
+/// per-destination buffers but keeps their slots, sorted by destination,
+/// so a long-lived accumulator cycling over a fixed destination set (a
+/// client talking to its universe, a server answering its clients) finds
+/// a destination by a search of a few slots and flushes in `NodeId`
+/// order.
 ///
 /// [`KvClient`]: crate::KvClient
 /// [`KvServer`]: crate::KvServer
 #[derive(Clone, Debug, Default)]
 pub struct BatchAccumulator {
-    pending: BTreeMap<NodeId, Vec<KvItem>>,
+    pending: Vec<(NodeId, Vec<KvItem>)>,
 }
 
 impl BatchAccumulator {
@@ -106,10 +106,14 @@ impl BatchAccumulator {
 
     /// Buffers one object-tagged message bound for `to`.
     pub fn push(&mut self, to: NodeId, object: ObjectId, lane: Lane, msg: StorageMsg) {
-        self.pending
-            .entry(to)
-            .or_default()
-            .push(KvItem { object, lane, msg });
+        let at = match self.pending.binary_search_by_key(&to, |(dest, _)| *dest) {
+            Ok(at) => at,
+            Err(at) => {
+                self.pending.insert(at, (to, Vec::new()));
+                at
+            }
+        };
+        self.pending[at].1.push(KvItem { object, lane, msg });
     }
 
     /// Buffers every message of an inner automaton's outbox under one
@@ -127,11 +131,11 @@ impl BatchAccumulator {
 
     /// `true` iff nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.pending.values().all(Vec::is_empty)
+        self.pending.iter().all(|(_, items)| items.is_empty())
     }
 
-    /// Sends every buffered item as one batch per destination, emptying
-    /// the buffers but keeping the per-destination map nodes for reuse.
+    /// Sends every buffered item as one batch per destination, in
+    /// `NodeId` order, emptying the buffers but keeping their slots.
     pub fn flush(&mut self, ctx: &mut Context<KvBatch>) {
         for (to, items) in &mut self.pending {
             if !items.is_empty() {
@@ -215,6 +219,23 @@ mod tests {
         let mut third = test_ctx();
         acc.flush(&mut third);
         assert!(third.sent().is_empty(), "empty nodes are skipped");
+    }
+
+    #[test]
+    fn flush_order_is_destination_order_whatever_the_push_order() {
+        let mut acc = BatchAccumulator::new();
+        for to in [5, 1, 3, 1, 0] {
+            acc.push(
+                NodeId(to),
+                ObjectId(to as u64),
+                Lane::Reader,
+                StorageMsg::Rd { read_no: 1, rnd: 1 },
+            );
+        }
+        let mut ctx = test_ctx();
+        acc.flush(&mut ctx);
+        let sent: Vec<(usize, usize)> = ctx.sent().iter().map(|(to, b)| (to.0, b.len())).collect();
+        assert_eq!(sent, [(0, 1), (1, 2), (3, 1), (5, 1)]);
     }
 
     #[test]

@@ -168,6 +168,21 @@ impl<M> Context<M> {
         }
     }
 
+    /// Opens the context for a new step of `node` at `now`, as
+    /// [`Context::new`] would, but keeps the allocations of its emptied
+    /// buffers: an executor that steps often (the simulator, an automaton
+    /// stepping inner automata) reuses one context instead of building a
+    /// fresh one per step.
+    pub fn reset(&mut self, node: NodeId, now: Time, timer_counter: u64) {
+        self.node = node;
+        self.now = now;
+        self.timer_counter = timer_counter;
+        self.outbox.clear();
+        self.timers.clear();
+        self.cancelled.clear();
+        self.cuts.clear();
+    }
+
     /// Marks the boundary between two messages handled one by one inside
     /// one step: the simulator numbers the outputs before the cut ahead
     /// of those after it, messages before timers on each side, as it
@@ -179,6 +194,12 @@ impl<M> Context<M> {
     /// Messages buffered by this step, in send order (test inspection).
     pub fn sent(&self) -> &[(NodeId, M)] {
         &self.outbox
+    }
+
+    /// Moves the buffered messages out in send order, keeping the buffer
+    /// (the by-reference counterpart of [`Context::into_outputs`]).
+    pub fn drain_sent(&mut self) -> std::vec::Drain<'_, (NodeId, M)> {
+        self.outbox.drain(..)
     }
 
     /// Timers armed by this step as `(delay, token)` pairs (test
@@ -269,6 +290,31 @@ mod tests {
         ctx.cancel_timer(t1);
         assert_eq!(ctx.timers.len(), 2);
         assert_eq!(ctx.cancelled, vec![t1]);
+    }
+
+    #[test]
+    fn reset_empties_the_buffers_and_keeps_their_capacity() {
+        let mut ctx: Context<u32> = Context::new(NodeId(1), Time(3), 10);
+        ctx.send(NodeId(2), 7);
+        let armed = ctx.set_timer(4);
+        ctx.cancel_timer(armed);
+        let outbox = ctx.outbox.capacity();
+        ctx.reset(NodeId(5), Time(9), 40);
+        assert_eq!((ctx.me(), ctx.now()), (NodeId(5), Time(9)));
+        assert!(ctx.sent().is_empty() && ctx.armed_timers().is_empty());
+        assert!(ctx.cancelled_timers().is_empty());
+        assert_eq!(ctx.outbox.capacity(), outbox);
+        assert_eq!(
+            ctx.set_timer(1),
+            TimerToken(40),
+            "tokens resume at the seed"
+        );
+        ctx.broadcast([NodeId(1), NodeId(2)], 8);
+        assert_eq!(
+            ctx.drain_sent().collect::<Vec<_>>(),
+            [(NodeId(1), 8), (NodeId(2), 8)]
+        );
+        assert!(ctx.sent().is_empty());
     }
 
     #[test]

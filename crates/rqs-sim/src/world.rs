@@ -155,6 +155,9 @@ pub struct World<M> {
     /// The batch of the delivery step being taken (empty between steps;
     /// kept for its capacity).
     batch: Vec<(NodeId, M)>,
+    /// The context every step runs in, re-opened per step (its buffers
+    /// are empty between steps; kept for their capacity).
+    ctx: Context<M>,
 }
 
 impl<M: Clone + 'static> World<M> {
@@ -179,6 +182,7 @@ impl<M: Clone + 'static> World<M> {
             trace_fmt: None,
             obs: Obs::nop(),
             batch: Vec::new(),
+            ctx: Context::new(NodeId(0), Time::ZERO, 0),
         }
     }
 
@@ -810,7 +814,8 @@ impl<M: Clone + 'static> World<M> {
             return;
         }
         let mut node = self.nodes[id.0].take().expect("re-entrant step on node");
-        let mut ctx = Context::new(id, self.now, self.timer_counter);
+        let mut ctx = std::mem::replace(&mut self.ctx, Context::new(id, self.now, 0));
+        ctx.reset(id, self.now, self.timer_counter);
         f(node.as_mut(), &mut ctx);
         self.timer_counter = ctx.timer_counter;
         self.nodes[id.0] = Some(node);
@@ -819,10 +824,10 @@ impl<M: Clone + 'static> World<M> {
         // and each part is routed like a step of its own, so sequence
         // numbers and fate-policy calls come out as under one message
         // per step.
-        let mut outbox = ctx.outbox.into_iter();
-        let mut timers = ctx.timers.into_iter();
+        let mut outbox = ctx.outbox.drain(..);
+        let mut timers = ctx.timers.drain(..);
         let mut routed = (0, 0);
-        for cut in ctx.cuts.into_iter().chain([(usize::MAX, usize::MAX)]) {
+        for &cut in ctx.cuts.iter().chain(&[(usize::MAX, usize::MAX)]) {
             for (to, msg) in outbox.by_ref().take(cut.0 - routed.0) {
                 self.route(Envelope {
                     from: id,
@@ -837,9 +842,11 @@ impl<M: Clone + 'static> World<M> {
             }
             routed = cut;
         }
-        for token in ctx.cancelled {
+        drop((outbox, timers));
+        for &token in &ctx.cancelled {
             self.cancelled_timers.insert((id.0, token.0));
         }
+        self.ctx = ctx;
     }
 
     fn route(&mut self, env: Envelope<M>) {

@@ -139,8 +139,9 @@ pub struct AtomicityChecker {
     max_completed: Time,
     /// Max-ts op retired so far: the `earlier` witness for future ops.
     retired: Option<StairEntry>,
-    /// Largest retired *write* timestamp and its description.
-    retired_write: Option<(Timestamp, String)>,
+    /// The retired write with the largest timestamp: the witness a
+    /// duplicate-timestamp report names (described only then).
+    retired_write: Option<OpRecord>,
     ops_checked: u64,
     retired_ops: u64,
     max_frontier: usize,
@@ -216,12 +217,15 @@ impl AtomicityChecker {
             self.fail(AtomicityViolation::Inconsistent { detail }, index);
             return;
         }
-        if let Some((rts, rdesc)) = &self.retired_write {
-            if ts == *rts {
-                let detail = format!("{} and {} share timestamp {}", rdesc, op.describe(), ts);
-                self.fail(AtomicityViolation::Inconsistent { detail }, index);
-                return;
-            }
+        if let Some(retired) = self.retired_write.as_ref().filter(|w| w.pair.ts == ts) {
+            let detail = format!(
+                "{} and {} share timestamp {}",
+                retired.describe(),
+                op.describe(),
+                ts
+            );
+            self.fail(AtomicityViolation::Inconsistent { detail }, index);
+            return;
         }
         // Re-validate reads that were waiting for this write.
         let resolved: Vec<(u64, OpRecord)> = {
@@ -467,8 +471,8 @@ impl AtomicityChecker {
             .collect();
         for ts in dead {
             let rec = self.writes.remove(&ts).expect("collected above");
-            if self.retired_write.as_ref().is_none_or(|(t, _)| ts > *t) {
-                self.retired_write = Some((ts, rec.op.describe()));
+            if self.retired_write.as_ref().is_none_or(|w| ts > w.pair.ts) {
+                self.retired_write = Some(rec.op);
             }
             self.retired_ops += 1;
         }
@@ -699,6 +703,28 @@ mod tests {
             c.violation(),
             Some(AtomicityViolation::Inconsistent { .. })
         ));
+    }
+
+    #[test]
+    fn a_duplicate_of_a_retired_write_names_it_as_a_live_one_would() {
+        let detail = |c: &AtomicityChecker| match c.violation() {
+            Some(AtomicityViolation::Inconsistent { detail }) => detail.clone(),
+            other => panic!("expected Inconsistent, got {other:?}"),
+        };
+        let dup = write(1, 11, 10, 12);
+        let text = "write(client 0, ⟨1,1⟩ @[t0,t2]) and write(client 0, ⟨1,11⟩ @[t10,t12]) \
+                    share timestamp 1";
+        // Retired: ts 2 becomes the anchor, so ts 1 leaves the write index
+        // and only the retired-write witness can name it.
+        let mut c = feed(&[write(1, 1, 0, 2), write(2, 2, 3, 5), write(3, 3, 6, 9)]);
+        c.retire_settled();
+        assert!(!c.writes.contains_key(&1));
+        c.observe(&dup);
+        assert_eq!(detail(&c), text);
+        // Live: the same words.
+        let mut c = feed(&[write(1, 1, 0, 2)]);
+        c.observe(&dup);
+        assert_eq!(detail(&c), text);
     }
 
     #[test]

@@ -11,14 +11,25 @@
 //! and keeps writing to it afterwards, [`History`] is a *persistent*
 //! value: a reference-counted spine of reference-counted chunks, each
 //! chunk a timestamp-sorted run of at most `CHUNK` = 32 entries (a
-//! private constant, not a tuning knob).
+//! private constant, not a tuning knob), and each entry a timestamp and
+//! a reference-counted array of its three slots.
 //!
 //! - `clone()` bumps the spine's reference count and touches no entry,
 //!   so an `rd_ack` carries a snapshot for free.
 //! - A write that changes a slot while a snapshot is outstanding copies
-//!   the spine's chunk pointers and the one chunk it lands in
-//!   (`Arc::make_mut` on each); every other chunk stays shared with the
-//!   snapshot. A write that changes nothing copies nothing.
+//!   the spine's chunk pointers, the one chunk it lands in — ≤ 32
+//!   `(timestamp, pointer)` entries, no slot — and the slots of the one
+//!   entry it changes (`Arc::make_mut` on each); every other chunk and
+//!   every other entry's slots stay shared with the snapshot. A write
+//!   that changes nothing copies nothing. Sharing the slot arrays is
+//!   what keeps such a write cheap: with the slots inline in the chunk,
+//!   every unshared chunk deep-copied 32 × 3 slots. The
+//!   `snapshot_wr_drop_x16` bench (16 such writes at 64 / 1,024 /
+//!   16,384 timestamps, min of 10 samples on 2 vCPUs) reads 12–16 /
+//!   19–24 / 117–130 µs, against 57–71 / 61–69 / 161–162 µs with
+//!   inline slots. On the repo benchmark's `sim-hot-read` workload 66 %
+//!   of the timed phase's server writes land on a chunk a reader's
+//!   snapshot still holds; on its threaded workloads 0.25–1.0 %.
 //! - Lookup tries the newest chunk first and only then binary-searches
 //!   the chunk heads: the top of a live object's history is what every
 //!   read decision probes (`highest_ts`, then the row at that timestamp)
@@ -87,7 +98,9 @@ thread_local! {
     pub(crate) static LOOKUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-type Entry = (Timestamp, [Slot; SLOTS]);
+/// A timestamp and its slots, which copies of a chunk share until one of
+/// them writes to this timestamp.
+type Entry = (Timestamp, Arc<[Slot; SLOTS]>);
 
 /// `true` iff [`store`] with the same arguments would change a slot:
 /// asked first, so that a write that changes nothing unshares nothing.
@@ -201,7 +214,7 @@ impl History {
         LOOKUPS.with(|n| n.set(n.get() + 1));
         let spine = self.spine.as_deref()?;
         let (ci, pos) = spine.locate(ts).ok()?;
-        Some(&spine.chunks[ci][pos].1)
+        Some(&*spine.chunks[ci][pos].1)
     }
 
     /// Every entry in ascending timestamp order, from either end.
@@ -270,7 +283,7 @@ impl History {
                     return false;
                 }
                 let chunk = Arc::make_mut(&mut Arc::make_mut(spine).chunks[ci]);
-                store(&mut chunk[pos].1, pair, sets, rnd);
+                store(Arc::make_mut(&mut chunk[pos].1), pair, sets, rnd);
                 true
             }
             // A timestamp seen for the first time always gains an entry,
@@ -280,7 +293,7 @@ impl History {
                 let mut slots = Default::default();
                 let changed = changes(&slots, pair, sets, rnd);
                 store(&mut slots, pair, sets, rnd);
-                Arc::make_mut(spine).insert(place, (pair.ts, slots));
+                Arc::make_mut(spine).insert(place, (pair.ts, Arc::new(slots)));
                 changed
             }
         }
@@ -320,7 +333,7 @@ impl History {
     /// Iterates `(timestamp, slots)` in ascending timestamp order — the
     /// snapshot-encoding view used by the durability layer.
     pub fn iter(&self) -> impl Iterator<Item = (&Timestamp, &[Slot; SLOTS])> {
-        self.entries().map(|(ts, slots)| (ts, slots))
+        self.entries().map(|(ts, slots)| (ts, &**slots))
     }
 
     /// Installs the exact slot array for `ts`, replacing whatever was
@@ -329,6 +342,7 @@ impl History {
     /// restore uses, where the slots were captured from a live history.
     pub fn insert_slots(&mut self, ts: Timestamp, slots: [Slot; SLOTS]) {
         let spine = Arc::make_mut(self.spine.get_or_insert_with(Arc::default));
+        let slots = Arc::new(slots);
         match spine.locate(ts) {
             Ok((ci, pos)) => Arc::make_mut(&mut spine.chunks[ci])[pos].1 = slots,
             Err(place) => spine.insert(place, (ts, slots)),
@@ -568,6 +582,26 @@ mod tests {
         assert_eq!(chunks(&h).len(), n + 1);
         assert_eq!(shared_chunks(&h, &snapshot), n);
         assert_eq!((snapshot.len(), h.len()), (8 * CHUNK, 8 * CHUNK + 1));
+    }
+
+    #[test]
+    fn a_write_under_a_snapshot_copies_the_slots_of_one_entry() {
+        let mut h = ascending(4 * CHUNK as u64);
+        let snapshot = h.clone();
+        let ts = CHUNK as u64 + 5;
+        assert!(h.apply_write(&pair(ts, ts), &BTreeSet::from([QuorumId(3)]), 1));
+        // The chunk holding `ts` is a copy of pointers: every entry but
+        // the written one still points at the snapshot's slots.
+        let (mine, theirs) = (&chunks(&h)[1], &chunks(&snapshot)[1]);
+        assert!(!Arc::ptr_eq(mine, theirs));
+        let entries = mine.iter().zip(theirs.iter());
+        let shared: Vec<bool> = entries.map(|(a, b)| Arc::ptr_eq(&a.1, &b.1)).collect();
+        assert_eq!(shared.iter().filter(|&&s| !s).count(), 1);
+        assert!(
+            !shared[(ts - 1) as usize % CHUNK],
+            "the written entry is the copy"
+        );
+        assert!(snapshot.slot(ts, 1).sets.is_empty());
     }
 
     #[test]

@@ -154,6 +154,10 @@ pub struct Reader {
     muts: Mutations,
     obs: Obs,
     round_timeout: u64,
+    /// Phase 1's `histories` and `qc2_prime` buffers between reads: empty
+    /// (a finished read's snapshots are dropped when it leaves phase 1),
+    /// kept for their capacity.
+    spare: (Vec<History>, Vec<QuorumId>),
 }
 
 impl Reader {
@@ -178,6 +182,7 @@ impl Reader {
             muts: Mutations::default(),
             obs: Obs::nop(),
             round_timeout: CLIENT_TIMEOUT,
+            spare: (Vec::new(), Vec::new()),
         }
     }
 
@@ -217,9 +222,15 @@ impl Reader {
         r
     }
 
-    /// Completed reads, in completion order.
+    /// Completed reads not yet drained, in completion order.
     pub fn outcomes(&self) -> &[ReadOutcome] {
         &self.outcomes
+    }
+
+    /// Moves the completed reads out, in completion order: a driver that
+    /// takes each outcome once keeps the reader's log empty.
+    pub fn drain_outcomes(&mut self) -> std::vec::Drain<'_, ReadOutcome> {
+        self.outcomes.drain(..)
     }
 
     /// `true` iff no read is in progress.
@@ -243,16 +254,17 @@ impl Reader {
             self.read_no,
             0,
         );
-        let n = self.rqs.universe_size();
+        let (mut histories, qc2_prime) = std::mem::take(&mut self.spare);
+        histories.resize(self.rqs.universe_size(), History::new());
         let mut p1 = Phase1 {
             invoked_at: ctx.now(),
             read_rnd: 0,
             acks_this_round: ProcessSet::empty(),
             responded_all: ProcessSet::empty(),
-            histories: vec![History::new(); n],
+            histories,
             timer: None,
             timer_expired: false,
-            qc2_prime: Vec::new(),
+            qc2_prime,
             highest_ts: 0,
         };
         Self::enter_phase1_round(
@@ -347,6 +359,16 @@ impl Reader {
         self.servers.iter().position(|&s| s == node).map(ProcessId)
     }
 
+    /// Moves to `next`. Leaving phase 1 drops the snapshots it held and
+    /// keeps its emptied buffers for the next read.
+    fn set_state(&mut self, next: State) {
+        if let State::Phase1(mut p1) = std::mem::replace(&mut self.state, next) {
+            p1.histories.clear();
+            p1.qc2_prime.clear();
+            self.spare = (p1.histories, p1.qc2_prime);
+        }
+    }
+
     fn try_finish_phase1_round(&mut self, ctx: &mut Context<StorageMsg>) {
         let State::Phase1(p1) = &mut self.state else {
             return;
@@ -370,7 +392,9 @@ impl Reader {
                 .map(History::highest_ts)
                 .max()
                 .unwrap_or(0);
-            p1.qc2_prime = self.rqs.class2_within(p1.acks_this_round).collect();
+            p1.qc2_prime.clear();
+            p1.qc2_prime
+                .extend(self.rqs.class2_within(p1.acks_this_round));
         }
         let view = ReadView {
             rqs: &self.rqs,
@@ -404,7 +428,7 @@ impl Reader {
             } else {
                 csel
             };
-            self.state = State::Idle;
+            self.set_state(State::Idle);
             self.obs.emit(
                 TraceKind::OpCompleted,
                 ctx.now().ticks(),
@@ -425,7 +449,7 @@ impl Reader {
         if read_rnd == 1 {
             // Line 40: BCD(csel, 1, ·) → 1-round read, no write-back.
             if (1..=3).any(|r| view.bcd1_in(&row, &csel, r)) {
-                self.state = State::Idle;
+                self.set_state(State::Idle);
                 self.obs.emit(
                     TraceKind::OpCompleted,
                     ctx.now().ticks(),
@@ -492,7 +516,7 @@ impl Reader {
                 rnd,
             },
         );
-        self.state = State::Writeback(Writeback {
+        self.set_state(State::Writeback(Writeback {
             invoked_at,
             csel,
             kind,
@@ -500,7 +524,7 @@ impl Reader {
             timer,
             timer_expired: !with_timer,
             rounds_so_far,
-        });
+        }));
     }
 
     fn try_finish_writeback(&mut self, ctx: &mut Context<StorageMsg>) {
@@ -563,7 +587,7 @@ impl Reader {
             invoked_at,
             completed_at: ctx.now(),
         });
-        self.state = State::Idle;
+        self.set_state(State::Idle);
     }
 }
 
@@ -943,5 +967,25 @@ mod tests {
             outs.iter().map(|o| o.read_no).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
+    }
+
+    #[test]
+    fn a_finished_read_drops_its_snapshots_keeps_its_buffers_and_drains_once() {
+        let (mut world, _s, writer, reader) = build_world();
+        world.invoke::<Writer>(writer, |w, ctx| w.start_write(Value::from(4u64), ctx));
+        world.run_to_quiescence();
+        for _ in 0..2 {
+            world.invoke::<Reader>(reader, |r, ctx| r.start_read(ctx));
+            world.run_to_quiescence();
+            let r = world.node_as::<Reader>(reader);
+            let (histories, qc2_prime) = &r.spare;
+            assert!(histories.is_empty() && qc2_prime.is_empty());
+            assert!(histories.capacity() >= 5 && qc2_prime.capacity() > 0);
+        }
+        world.invoke::<Reader>(reader, |r, _| {
+            let drained: Vec<u64> = r.drain_outcomes().map(|o| o.read_no).collect();
+            assert_eq!(drained, [1, 2]);
+            assert!(r.outcomes().is_empty());
+        });
     }
 }

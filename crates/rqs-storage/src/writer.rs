@@ -146,9 +146,15 @@ impl Writer {
         self.obs = obs;
     }
 
-    /// Completed writes, in completion order.
+    /// Completed writes not yet drained, in completion order.
     pub fn outcomes(&self) -> &[WriteOutcome] {
         &self.outcomes
+    }
+
+    /// Moves the completed writes out, in completion order: a driver that
+    /// takes each outcome once keeps the writer's log empty.
+    pub fn drain_outcomes(&mut self) -> std::vec::Drain<'_, WriteOutcome> {
+        self.outcomes.drain(..)
     }
 
     /// `true` iff no write is in progress.
@@ -221,7 +227,7 @@ impl Writer {
             BTreeSet::new()
         };
         ctx.broadcast(
-            self.servers.clone(),
+            self.servers.iter().copied(),
             StorageMsg::Wr {
                 ts: self.ts,
                 val: w.val.clone(),
@@ -257,9 +263,8 @@ impl Writer {
             w.timer = None;
         }
         let val = w.val.clone();
-        let targets: Vec<NodeId> = self.servers.clone();
         ctx.broadcast(
-            targets,
+            self.servers.iter().copied(),
             StorageMsg::Wr {
                 ts,
                 val,
