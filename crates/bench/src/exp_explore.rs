@@ -133,4 +133,23 @@ mod tests {
             Some("yes")
         );
     }
+
+    /// E17 to the last digit: a change to `World`'s pending-set order, the
+    /// scheduler's views or `digest_with` moves these counts.
+    #[test]
+    fn quick_report_is_pinned() {
+        let r = report(crate::cli::DEFAULT_SEED, true);
+        let counts: Vec<&[String]> = r.rows.iter().map(|row| &row[2..6]).collect();
+        assert_eq!(
+            counts,
+            [
+                ["141", "4328", "70", "40"],
+                ["11", "440", "10", "40"],
+                ["258", "8752", "86", "53"],
+                ["16", "3988", "15", "256"],
+                ["40", "2373", "2292", "73"],
+            ],
+            "runs, choice points, unique states, max depth"
+        );
+    }
 }

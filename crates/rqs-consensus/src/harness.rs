@@ -5,9 +5,9 @@
 //!
 //! [`ConsensusDeployment`] is written once against
 //! [`Substrate`]; [`ConsensusHarness`] is its
-//! deterministic-simulator alias (with extra sim-only scripting methods)
-//! and `rqs_runtime::RtConsensus` wraps the same driver on the threaded
-//! runtime.
+//! deterministic-simulator alias (with extra sim-only scripting methods),
+//! and `ConsensusDeployment<rqs_runtime::Runtime<ConsensusMsg>>` is the
+//! same driver on the threaded runtime.
 
 use crate::acceptor::{Acceptor, ConsensusConfig};
 use crate::learner::Learner;

@@ -50,7 +50,7 @@ fn step<A: Automaton<KvBatch>>(
         node.on_messages(group.drain(..), &mut ctx);
     }
     *counter = ctx.timer_counter_snapshot();
-    let sent = ctx.into_outputs().0;
+    let sent: Vec<_> = ctx.drain_sent().collect();
     let destinations: BTreeSet<NodeId> = sent.iter().map(|(to, _)| *to).collect();
     assert_eq!(
         destinations.len(),
@@ -150,7 +150,7 @@ fn single_step_run(
     let mut ctx = Context::new(CLIENT, Time::ZERO, 0);
     client.start_ops(ops.to_vec(), &mut ctx);
     let (mut counter, mut unused) = (ctx.timer_counter_snapshot(), 0);
-    let mut to_servers = ctx.into_outputs().0;
+    let mut to_servers: Vec<_> = ctx.drain_sent().collect();
     let (mut acks, mut sent) = (Vec::new(), Vec::new());
     while !to_servers.is_empty() {
         sent.extend(to_servers.iter().cloned());
@@ -289,7 +289,7 @@ proptest! {
         let mut ctx = Context::new(CLIENT, Time::ZERO, 0);
         batched.start_ops(ops, &mut ctx);
         let mut counter = ctx.timer_counter_snapshot();
-        let mut batched_sent = ctx.into_outputs().0;
+        let mut batched_sent: Vec<_> = ctx.drain_sent().collect();
         let mut now = 1;
         for group in split(acks, &sizes) {
             let taken = group.len() as u64;
@@ -382,12 +382,12 @@ fn threaded_envelopes_queued_behind_a_busy_server_share_one_sync() {
     // Keep the server busy (as a slow sync would) until eight envelopes
     // from two senders are queued behind it.
     let (release, busy) = std::sync::mpsc::channel::<()>();
-    rt.invoke::<KvServer>(NodeId(0), move |_server, _ctx| {
+    rt.invoke_on::<KvServer>(NodeId(0), move |_server, _ctx| {
         let _ = busy.recv();
     });
     for ts in 1..=4 {
-        rt.send(NodeId(1), NodeId(0), write(1, ts));
-        rt.send(NodeId(2), NodeId(0), write(2, ts));
+        rt.post(NodeId(1), NodeId(0), write(1, ts));
+        rt.post(NodeId(2), NodeId(0), write(2, ts));
     }
     drop(release);
     for sender in [NodeId(1), NodeId(2)] {
@@ -397,7 +397,7 @@ fn threaded_envelopes_queued_behind_a_busy_server_share_one_sync() {
             Duration::from_secs(5),
         );
         assert!(acked, "{sender} must see all four of its writes acked");
-        let envelopes = rt.inspect::<Sink, usize>(sender, |sink| sink.0.len());
+        let envelopes = rt.inspect_on::<Sink, usize>(sender, |sink| sink.0.len());
         assert_eq!(envelopes, 1, "one step, one ack envelope per sender");
     }
     let stats = store.stats();

@@ -1,32 +1,38 @@
 //! A threaded, real-time execution environment for the same automatons
 //! that run in the deterministic simulator.
 //!
-//! Every node runs on its own OS thread with a crossbeam channel inbox;
-//! messages travel between threads, and protocol ticks are mapped to
-//! wall-clock durations by a configurable tick length. A node that wakes
-//! on a message takes the messages already in its inbox with it, as one
-//! step ([`Automaton::on_messages`]). This is the deployment used by the
+//! Every node runs on its own OS thread with a channel inbox; messages
+//! travel between threads, and protocol ticks are mapped to wall-clock
+//! durations by a configurable tick length. A node that wakes on a
+//! message takes the messages already in its inbox with it, as one step
+//! ([`Automaton::on_messages`]). This is the deployment used by the
 //! wall-clock benchmarks (experiment E11): same protocol code, real
 //! channels and real time.
 //!
-//! The runtime implements [`Substrate`], so every deployment driver
-//! written against that trait runs here unchanged.
+//! The runtime is reached only through [`Substrate`], so every
+//! deployment driver written against that trait runs here unchanged.
 //!
 //! # One clock, one choke point
 //!
-//! Like the simulator's `(time, sequence)` queue, the runtime has one
-//! notion of "later": the **agenda**, a heap of `(due, seq, node, event)`
-//! entries served by the single `rt-clock` thread, which puts an entry's
-//! event into its node's inbox when the entry comes due. An armed timer
-//! is a timer entry at `now + delay`; a message a link rule delays, holds
-//! or duplicates is a message entry at its due instant; a [`Scenario`]'s
-//! crash plan is crash and restart entries pushed at start. Entries due
-//! at the same instant fire in insertion order.
+//! The runtime's notion of "later" is the simulator's: one [`Agenda`] of
+//! `(instant, sequence)` entries, served by the single `rt-clock` thread,
+//! which puts an entry into its node's inbox when it comes due. An armed
+//! timer is a timer entry at `now + delay`; a message a link rule delays,
+//! holds or duplicates is a delivery entry at its due instant; a
+//! [`Scenario`]'s crash plan is crash and restart entries pushed at start.
+//! Entries due at the same instant fire in insertion order.
+//!
+//! A cancelled timer is one mark on the agenda, and whichever side takes
+//! the firing consults it: the clock drops a cancelled entry, and a node
+//! swallows a firing the clock had already sent. A crash purges the
+//! node's timer entries and raises its crash floor, below which a firing
+//! already in the inbox is ignored, so no pre-crash timer fires after the
+//! restart — as in the simulator.
 //!
 //! A socket substrate can rely on three facts:
 //!
 //! 1. every outbound message — a node's, or one injected through
-//!    [`Runtime::send`] — passes `NetOut::send` exactly once;
+//!    [`Substrate::post`] — passes `NetOut::send` exactly once;
 //! 2. its fate (`ScenarioNet::decide`: deliver, delay, hold, duplicate
 //!    or drop — the wall-clock analogue of the simulator's fate policy)
 //!    is decided there, on the sender's thread, at the send tick;
@@ -37,10 +43,9 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use rqs_obs::{Obs, TraceKind, LANE_SYS};
 use rqs_sim::{
-    Automaton, Context, CrashMode, LinkDecision, NodeId, Scenario, ScenarioNet, Substrate,
-    SubstrateConfig, SubstrateStats, Time, TimerToken,
+    Agenda, Automaton, Context, CrashMode, Due, LinkDecision, NodeId, Scenario, ScenarioNet,
+    Substrate, SubstrateConfig, SubstrateStats, Time, TimerToken,
 };
-use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,130 +67,65 @@ where
         .unwrap_or_else(|e| panic!("spawn {name}: {e}"))
 }
 
+/// What a node's inbox carries: what came due, or a driver's request.
 enum Event<M> {
-    Msg {
-        from: NodeId,
-        msg: M,
-    },
-    Timer(TimerToken),
+    Due(Due<M>),
     #[allow(clippy::type_complexity)]
     Call(Box<dyn FnOnce(&mut dyn Automaton<M>, &mut Context<M>) + Send>),
-    Crash(CrashMode),
-    Restart,
     Replace(Box<dyn Automaton<M> + Send>),
     Shutdown,
 }
 
-/// One agenda entry: `event` goes into `node`'s inbox at `due`.
-struct Entry<M> {
-    due: Instant,
-    /// Insertion sequence: entries due at the same instant fire in the
-    /// order they were scheduled.
-    seq: u64,
-    node: usize,
-    event: Event<M>,
-}
-
-impl<M> PartialEq for Entry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Entry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: the earliest `(due, seq)` is the max-heap's top.
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-struct Agenda<M> {
-    heap: BinaryHeap<Entry<M>>,
-    next_seq: u64,
-    /// Tokens cancelled after arming: the clock drops their entries at
-    /// pop time instead of waking the owning node just to swallow the
-    /// firing. Most protocol timers (op timeouts, retry watchdogs) are
-    /// cancelled on completion, so on the hot path this suppression
-    /// saves one cross-thread event per armed timer.
-    cancelled: HashSet<u64>,
-    shutdown: bool,
-}
-
-impl<M> Agenda<M> {
-    /// Adds an entry; returns whether it is now the earliest, i.e.
-    /// whether the clock thread sleeps towards the wrong instant.
-    fn push(&mut self, due: Instant, node: usize, event: Event<M>) -> bool {
-        let earliest = self.heap.peek().is_none_or(|top| due < top.due);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            due,
-            seq,
-            node,
-            event,
-        });
-        earliest
-    }
-}
-
-/// The runtime's one notion of "later": the agenda and the thread that
-/// serves it.
+/// The runtime's one notion of "later": the agenda (`None` once shut
+/// down) and the condition the `rt-clock` thread sleeps on.
 struct Clock<M> {
-    agenda: Mutex<Agenda<M>>,
+    agenda: Mutex<Option<Agenda<Instant, M>>>,
     wake: Condvar,
-    /// Per-node acks for clock-side suppression: when the clock drops a
-    /// cancelled timer entry it records the token here, and the owner
-    /// drains the list after its next step to garbage-collect its own
-    /// swallow list. A cancellation that loses the race (the firing was
-    /// already in flight) is still swallowed node-locally.
-    suppressed: Vec<Mutex<Vec<TimerToken>>>,
 }
 
 impl<M> Clock<M> {
-    fn schedule(&self, due: Instant, node: usize, event: Event<M>) {
-        let earliest = self.agenda.lock().push(due, node, event);
-        if earliest {
+    /// Runs `f` on the agenda unless it is shut down; wakes the clock
+    /// thread if `f` reports a new earliest entry.
+    fn with(&self, f: impl FnOnce(&mut Agenda<Instant, M>) -> bool) {
+        if self.agenda.lock().as_mut().is_some_and(f) {
             self.wake.notify_one();
         }
     }
 
+    fn schedule(&self, at: Instant, node: NodeId, due: Due<M>) {
+        self.with(|agenda| agenda.push(at, node, due));
+    }
+
     /// The `rt-clock` thread: moves due entries into their nodes'
-    /// inboxes, in `(due, seq)` order, until shutdown.
+    /// inboxes, in `(at, seq)` order, dropping cancelled timers, until
+    /// shutdown.
     fn run(&self, inboxes: &[Sender<Event<M>>]) {
-        let mut due = Vec::new();
-        let mut agenda = self.agenda.lock();
-        while !agenda.shutdown {
+        let mut ready = Vec::new();
+        let mut guard = self.agenda.lock();
+        while let Some(agenda) = guard.as_mut() {
             let now = Instant::now();
-            while agenda.heap.peek().is_some_and(|top| top.due <= now) {
-                let entry = agenda.heap.pop().expect("peeked");
-                match entry.event {
-                    // Cancelled before it came due: drop the firing here
-                    // and ack the owner so it can forget the token.
-                    Event::Timer(token) if agenda.cancelled.remove(&token.0) => {
-                        self.suppressed[entry.node].lock().push(token);
-                    }
-                    _ => due.push(entry),
+            while let Some(entry) = agenda.pop_if(|e| e.at <= now) {
+                // Most protocol timers are cancelled on completion:
+                // dropping them here saves their node a wake-up each.
+                match entry.due {
+                    Due::Timer(token) if agenda.take_cancelled(token) => {}
+                    _ => ready.push(entry),
                 }
             }
-            if !due.is_empty() {
+            if !ready.is_empty() {
                 // Fill the inboxes with the agenda unlocked: a send may
                 // have to wake the receiving thread.
-                drop(agenda);
-                for entry in due.drain(..) {
-                    if let Some(inbox) = inboxes.get(entry.node) {
-                        let _ = inbox.send(entry.event);
+                drop(guard);
+                for entry in ready.drain(..) {
+                    if let Some(inbox) = inboxes.get(entry.node.0) {
+                        let _ = inbox.send(Event::Due(entry.due));
                     }
                 }
-                agenda = self.agenda.lock();
-            } else if let Some(next) = agenda.heap.peek().map(|top| top.due) {
-                self.wake.wait_until(&mut agenda, next);
+                guard = self.agenda.lock();
+            } else if let Some(next) = agenda.next_at() {
+                self.wake.wait_until(&mut guard, next);
             } else {
-                self.wake.wait(&mut agenda);
+                self.wake.wait(&mut guard);
             }
         }
     }
@@ -215,15 +155,16 @@ impl<M: Clone> NetOut<M> {
         self.envelopes.fetch_add(1, Ordering::Relaxed);
         self.items.fetch_add((self.sizer)(&msg), Ordering::Relaxed);
         let Some(links) = &self.links else {
-            return self.deliver(from, to, msg);
+            return self.enqueue(to, Event::Due(Due::Deliver { from, msg }));
         };
         // Windowed link rules key on the send tick (the simulator's
         // `env.sent_at`), and a delay is timed from this instant.
         let sent_tick = self.now_ticks();
         let decision = links.lock().decide(from, to, sent_tick);
-        let later = |due: Instant, msg: M| self.clock.schedule(due, to.0, Event::Msg { from, msg });
+        let deliver = |msg: M| self.enqueue(to, Event::Due(Due::Deliver { from, msg }));
+        let later = |at: Instant, msg: M| self.clock.schedule(at, to, Due::Deliver { from, msg });
         match decision {
-            LinkDecision::Deliver { extra: 0 } => self.deliver(from, to, msg),
+            LinkDecision::Deliver { extra: 0 } => deliver(msg),
             LinkDecision::Deliver { extra } => later(Instant::now() + self.wall(extra), msg),
             LinkDecision::DeliverAtTick(t) => later(self.instant_of(t), msg),
             LinkDecision::Drop => {
@@ -237,20 +178,20 @@ impl<M: Clone> NetOut<M> {
                 );
             }
             LinkDecision::Duplicate { lag } => {
-                self.deliver(from, to, msg.clone());
+                deliver(msg.clone());
                 later(Instant::now() + self.wall(lag.max(1)), msg);
             }
-        }
-    }
-
-    fn deliver(&self, from: NodeId, to: NodeId, msg: M) {
-        if let Some(inbox) = self.inboxes.get(to.0) {
-            let _ = inbox.send(Event::Msg { from, msg });
         }
     }
 }
 
 impl<M> NetOut<M> {
+    fn enqueue(&self, to: NodeId, event: Event<M>) {
+        if let Some(inbox) = self.inboxes.get(to.0) {
+            let _ = inbox.send(event);
+        }
+    }
+
     fn now_ticks(&self) -> u64 {
         (self.started.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64
     }
@@ -270,9 +211,9 @@ impl<M> NetOut<M> {
 
 /// A running threaded deployment.
 ///
-/// Build through [`Substrate::build`]; interact through
-/// [`Runtime::send`], [`Runtime::invoke`] and [`Runtime::inspect`]; shut
-/// down with [`Runtime::shutdown`] (also runs on drop).
+/// Build through [`Substrate::build`] and drive through the rest of
+/// [`Substrate`]; shut down with [`Runtime::shutdown`] (also runs on
+/// drop).
 pub struct Runtime<M: Send + 'static> {
     net: Arc<NetOut<M>>,
     node_threads: Vec<JoinHandle<()>>,
@@ -285,9 +226,12 @@ struct NodeHost<M: Send + 'static> {
     me: NodeId,
     node: Box<dyn Automaton<M> + Send>,
     net: Arc<NetOut<M>>,
+    /// The context every step runs in, re-opened per step.
+    ctx: Context<M>,
     timer_counter: u64,
-    /// Timers cancelled while their firing may already be in the inbox.
-    cancelled: Vec<TimerToken>,
+    /// `timer_counter` at the last crash: the node's tokens only grow, so
+    /// a firing below it was armed before that crash.
+    crash_floor: u64,
     crashed: bool,
     crash_mode: CrashMode,
     /// The batch of the message step being taken (empty between steps;
@@ -309,14 +253,17 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
             let now = self.net.now_ticks();
             match event {
                 Event::Shutdown => return,
-                Event::Crash(mode) => self.crash(now, mode),
-                Event::Restart => self.restart(now),
                 Event::Replace(node) => self.node = node,
-                Event::Msg { from, msg } => {
+                // Runs on a crashed node too, so inspection keeps working.
+                Event::Call(f) => self.step(now, |node, ctx| f(node, ctx)),
+                Event::Due(Due::Crash(mode)) => self.crash(now, mode),
+                Event::Due(Due::Restart) => self.restart(now),
+                Event::Due(Due::Timer(token)) => self.fire(now, token),
+                Event::Due(Due::Deliver { from, msg }) => {
                     self.admit(now, from, msg);
                     while let Ok(next) = rx.try_recv() {
                         match next {
-                            Event::Msg { from, msg } => self.admit(now, from, msg),
+                            Event::Due(Due::Deliver { from, msg }) => self.admit(now, from, msg),
                             other => {
                                 held = Some(other);
                                 break;
@@ -330,56 +277,46 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
                         self.batch = batch;
                     }
                 }
-                // A crashed node fires no timers, and a cancelled timer
-                // whose firing was already in flight is swallowed here.
-                Event::Timer(token) => {
-                    if let Some(pos) = self.cancelled.iter().position(|&t| t == token) {
-                        self.cancelled.swap_remove(pos);
-                    } else if !self.crashed {
-                        self.step(now, |node, ctx| node.on_timer(token, ctx));
-                    }
-                }
-                // Runs on a crashed node too, so inspection keeps working.
-                Event::Call(f) => self.step(now, |node, ctx| f(node, ctx)),
             }
         }
     }
 
     /// Runs one step of the automaton at tick `now`, sends what it
-    /// produced and puts its timers on the agenda.
+    /// produced and puts its timers and cancellations on the agenda.
     fn step(&mut self, now: u64, f: impl FnOnce(&mut dyn Automaton<M>, &mut Context<M>)) {
-        let mut ctx = Context::new(self.me, Time(now), self.timer_counter);
-        f(self.node.as_mut(), &mut ctx);
+        let ctx = &mut self.ctx;
+        ctx.reset(self.me, Time(now), self.timer_counter);
+        f(self.node.as_mut(), ctx);
         self.timer_counter = ctx.timer_counter_snapshot();
-        let (outbox, timers, newly_cancelled) = ctx.into_outputs();
-        for (to, msg) in outbox {
+        for (to, msg) in ctx.drain_sent() {
             self.net.send(self.me, to, msg);
         }
-        let clock = &self.net.clock;
-        // Publish cancellations to the clock (which suppresses the firing
-        // when it wins the race) *and* remember them locally (which
-        // swallows the firing when the clock already sent it). The clock
-        // acks each suppression through `suppressed`, so the local list
-        // stays bounded by the genuinely in-flight cancellations.
-        if !timers.is_empty() || !newly_cancelled.is_empty() {
-            let mut agenda = clock.agenda.lock();
-            let (armed_at, mut earliest) = (Instant::now(), false);
-            for (delay, token) in timers {
-                let due = armed_at + self.net.wall(delay);
-                earliest |= agenda.push(due, self.me.0, Event::Timer(token));
-            }
-            agenda.cancelled.extend(newly_cancelled.iter().map(|t| t.0));
-            drop(agenda);
-            if earliest {
-                clock.wake.notify_one();
-            }
+        let (armed, cancelled) = (ctx.armed_timers(), ctx.cancelled_timers());
+        if armed.is_empty() && cancelled.is_empty() {
+            return;
         }
-        self.cancelled.extend(newly_cancelled);
-        let acked = std::mem::take(&mut *clock.suppressed[self.me.0].lock());
-        for token in acked {
-            if let Some(pos) = self.cancelled.iter().position(|&t| t == token) {
-                self.cancelled.swap_remove(pos);
+        let (me, net, armed_at) = (self.me, &self.net, Instant::now());
+        net.clock.with(|agenda| {
+            let mut earliest = false;
+            for &(delay, token) in armed {
+                earliest |= agenda.push(armed_at + net.wall(delay), me, Due::Timer(token));
             }
+            for &token in cancelled {
+                agenda.cancel(token);
+            }
+            earliest
+        });
+    }
+
+    /// A timer firing the clock sent: swallowed if the timer was
+    /// cancelled since, ignored while crashed or if armed before the last
+    /// crash.
+    fn fire(&mut self, now: u64, token: TimerToken) {
+        let mut agenda = self.net.clock.agenda.lock();
+        let cancelled = agenda.as_mut().is_some_and(|a| a.take_cancelled(token));
+        drop(agenda);
+        if !cancelled && !self.crashed && token.0 >= self.crash_floor {
+            self.step(now, |node, ctx| node.on_timer(token, ctx));
         }
     }
 
@@ -404,33 +341,20 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
         }
     }
 
+    /// Timers are volatile state: the crash purges this node's timer
+    /// entries and raises the floor under firings already sent. A message
+    /// in flight to the node and its scheduled restart stay.
     fn crash(&mut self, now: u64, mode: CrashMode) {
-        let i = self.me.0;
         self.crashed = true;
         self.crash_mode = mode;
-        // Timers are volatile state: purge this node's pending timer
-        // entries, and with them their suppression markers, so no
-        // pre-crash timer fires after a restart. Only those: a message in
-        // flight to the node and its scheduled restart stay on the agenda.
-        let clock = &self.net.clock;
-        {
-            let mut agenda = clock.agenda.lock();
-            let Agenda {
-                heap, cancelled, ..
-            } = &mut *agenda;
-            heap.retain(|entry| match entry.event {
-                Event::Timer(token) if entry.node == i => {
-                    cancelled.remove(&token.0);
-                    false
-                }
-                _ => true,
-            });
+        self.crash_floor = self.timer_counter;
+        if let Some(agenda) = self.net.clock.agenda.lock().as_mut() {
+            agenda.purge_timers(self.me);
         }
-        clock.suppressed[i].lock().clear();
-        self.cancelled.clear();
+        let node = self.me.0 as u64;
         self.net
             .obs
-            .emit(TraceKind::Crash, now, i as u64, LANE_SYS, mode as u64, 0);
+            .emit(TraceKind::Crash, now, node, LANE_SYS, mode as u64, 0);
     }
 
     fn restart(&mut self, now: u64) {
@@ -454,49 +378,10 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
 }
 
 impl<M: Send + Clone + 'static> Runtime<M> {
-    /// Injects a message into `to`'s inbox, attributed to `from`, subject
-    /// to the scenario's link schedule.
-    pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.net.send(from, to, msg);
-    }
-
-    /// Runs a closure on the node's automaton (typed), on its own thread.
-    /// Does not wait for completion.
-    pub fn invoke<T: 'static>(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut T, &mut Context<M>) + Send + 'static,
-    ) {
-        let _ = self.net.inboxes[id.0].send(Event::Call(Box::new(move |node, ctx| {
-            let concrete = node
-                .as_any_mut()
-                .downcast_mut::<T>()
-                .expect("node type mismatch");
-            f(concrete, ctx);
-        })));
-    }
-
-    /// Runs a closure on the node's automaton and returns its result,
-    /// blocking until the node processes the request.
-    pub fn inspect<T: 'static, R: Send + 'static>(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&T) -> R + Send + 'static,
-    ) -> R {
-        let (tx, rx) = crossbeam_channel::bounded(1);
-        let _ = self.net.inboxes[id.0].send(Event::Call(Box::new(move |node, _ctx| {
-            let concrete = node
-                .as_any()
-                .downcast_ref::<T>()
-                .expect("node type mismatch");
-            let _ = tx.send(f(concrete));
-        })));
-        rx.recv().expect("node thread alive")
-    }
-
     /// Blocks until `pred` over the node holds (polling), or the timeout
     /// elapses; returns whether it held. The blocking analogue of the
-    /// simulator's `run_until`.
+    /// simulator's `run_until`, and what [`Substrate::await_on`] runs
+    /// with the configured operation timeout.
     pub fn wait_for<T: 'static>(
         &self,
         id: NodeId,
@@ -507,7 +392,7 @@ impl<M: Send + Clone + 'static> Runtime<M> {
         let deadline = Instant::now() + timeout;
         loop {
             let p = pred.clone();
-            if self.inspect::<T, bool>(id, move |t| p(t)) {
+            if self.inspect_on::<T, bool>(id, move |t| p(t)) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -516,64 +401,13 @@ impl<M: Send + Clone + 'static> Runtime<M> {
             std::thread::sleep(self.net.tick / 4 + Duration::from_micros(100));
         }
     }
-
-    /// Crashes the node: it stops processing messages and timers (they
-    /// are lost) until [`Runtime::restart_node`]. Retain mode: in-memory
-    /// state survives the restart.
-    pub fn crash_node(&self, id: NodeId) {
-        self.crash_node_with(id, CrashMode::Retain);
-    }
-
-    /// Crashes the node with an explicit [`CrashMode`]: after an
-    /// `Amnesia` crash the restart discards all volatile state and
-    /// rebuilds the automaton from its durable store (via
-    /// `Automaton::restore_state`). Pending timers are purged in both
-    /// modes — they are volatile state.
-    pub fn crash_node_with(&self, id: NodeId, mode: CrashMode) {
-        let _ = self.net.inboxes[id.0].send(Event::Crash(mode));
-    }
-
-    /// Restarts a crashed node: with its retained state after a retain
-    /// crash, from its durable store after an amnesia crash.
-    pub fn restart_node(&self, id: NodeId) {
-        let _ = self.net.inboxes[id.0].send(Event::Restart);
-    }
-
-    /// Replaces the automaton at `id` (Byzantine behaviour injection).
-    /// The new automaton's `on_start` is *not* called.
-    pub fn swap_node(&self, id: NodeId, node: Box<dyn Automaton<M> + Send>) {
-        let _ = self.net.inboxes[id.0].send(Event::Replace(node));
-    }
-
-    /// Envelope/item counts since start.
-    pub fn message_stats(&self) -> SubstrateStats {
-        SubstrateStats {
-            envelopes: self.net.envelopes.load(Ordering::Relaxed),
-            items: self.net.items.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Elapsed wall-clock since start.
-    pub fn elapsed(&self) -> Duration {
-        self.net.started.elapsed()
-    }
-
-    /// The tick length in use.
-    pub fn tick_len(&self) -> Duration {
-        self.net.tick
-    }
-
-    /// The await timeout used by generic substrate awaits.
-    pub fn op_timeout(&self) -> Duration {
-        self.op_timeout
-    }
 }
 
 impl<M: Send + 'static> Runtime<M> {
     /// Stops all threads. Entries still on the agenda, however far in the
     /// future, are dropped with it.
     pub fn shutdown(&mut self) {
-        self.net.clock.agenda.lock().shutdown = true;
+        *self.net.clock.agenda.lock() = None;
         self.net.clock.wake.notify_one();
         for inbox in &self.net.inboxes {
             let _ = inbox.send(Event::Shutdown);
@@ -596,7 +430,7 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
 
     /// Spawns one thread per node and the `rt-clock` thread, after
     /// putting the scenario's crash plans on the agenda — as
-    /// `Substrate::build` for `World` turns them into queue entries.
+    /// `Substrate::build` for `World` does.
     fn build(config: SubstrateConfig<M>) -> Self {
         let n = config.nodes.len();
         let (inboxes, receivers): (Vec<_>, Vec<Receiver<Event<M>>>) =
@@ -605,14 +439,8 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
         let net = Arc::new(NetOut {
             inboxes,
             clock: Clock {
-                agenda: Mutex::new(Agenda {
-                    heap: BinaryHeap::new(),
-                    next_seq: 0,
-                    cancelled: HashSet::new(),
-                    shutdown: false,
-                }),
+                agenda: Mutex::new(Some(Agenda::default())),
                 wake: Condvar::new(),
-                suppressed: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             },
             links: (!links.is_empty()).then(|| Mutex::new(config.scenario.network())),
             envelopes: AtomicU64::new(0),
@@ -623,12 +451,12 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
             tick: config.tick,
         });
         for plan in crashes {
-            let crash = Event::Crash(plan.crash_mode);
-            net.clock
-                .schedule(net.instant_of(plan.at), plan.node, crash);
+            let node = NodeId(plan.node);
+            let crash = Due::Crash(plan.crash_mode);
+            net.clock.schedule(net.instant_of(plan.at), node, crash);
             if let Some(restart) = plan.restart_at {
                 net.clock
-                    .schedule(net.instant_of(restart), plan.node, Event::Restart);
+                    .schedule(net.instant_of(restart), node, Due::Restart);
             }
         }
         let clock_thread = {
@@ -641,8 +469,9 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
                     me: NodeId(i),
                     node,
                     net: net.clone(),
+                    ctx: Context::new(NodeId(i), Time::ZERO, 0),
                     timer_counter: (i as u64) << 32,
-                    cancelled: Vec::new(),
+                    crash_floor: 0,
                     crashed: false,
                     crash_mode: CrashMode::Retain,
                     batch: Vec::new(),
@@ -659,15 +488,23 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
     }
 
     fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
-        Runtime::send(self, from, to, msg);
+        self.net.send(from, to, msg);
     }
 
+    /// Runs on the node's own thread; does not wait for completion.
     fn invoke_on<T: 'static>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<M>) + Send + 'static,
     ) {
-        self.invoke::<T>(id, f);
+        let call = move |node: &mut dyn Automaton<M>, ctx: &mut Context<M>| {
+            let concrete = node
+                .as_any_mut()
+                .downcast_mut::<T>()
+                .expect("node type mismatch");
+            f(concrete, ctx);
+        };
+        self.net.enqueue(id, Event::Call(Box::new(call)));
     }
 
     fn inspect_on<T: 'static, R: Send + 'static>(
@@ -675,7 +512,16 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
         id: NodeId,
         f: impl Fn(&T) -> R + Send + Sync + 'static,
     ) -> R {
-        self.inspect::<T, R>(id, f)
+        let (tx, rx) = crossbeam_channel::bounded(1);
+        let call = move |node: &mut dyn Automaton<M>, _: &mut Context<M>| {
+            let concrete = node
+                .as_any()
+                .downcast_ref::<T>()
+                .expect("node type mismatch");
+            let _ = tx.send(f(concrete));
+        };
+        self.net.enqueue(id, Event::Call(Box::new(call)));
+        rx.recv().expect("node thread alive")
     }
 
     fn await_on<T: 'static>(
@@ -687,24 +533,23 @@ impl<M: Send + Clone + 'static> Substrate<M> for Runtime<M> {
         self.wait_for::<T>(id, pred, self.op_timeout)
     }
 
-    fn crash(&mut self, id: NodeId) {
-        self.crash_node(id);
-    }
-
     fn crash_with(&mut self, id: NodeId, mode: CrashMode) {
-        self.crash_node_with(id, mode);
+        self.net.enqueue(id, Event::Due(Due::Crash(mode)));
     }
 
     fn restart(&mut self, id: NodeId) {
-        self.restart_node(id);
+        self.net.enqueue(id, Event::Due(Due::Restart));
     }
 
     fn replace_node(&mut self, id: NodeId, node: Box<dyn Automaton<M> + Send>) {
-        self.swap_node(id, node);
+        self.net.enqueue(id, Event::Replace(node));
     }
 
     fn stats(&self) -> SubstrateStats {
-        self.message_stats()
+        SubstrateStats {
+            envelopes: self.net.envelopes.load(Ordering::Relaxed),
+            items: self.net.items.load(Ordering::Relaxed),
+        }
     }
 
     fn now_ticks(&self) -> Time {
@@ -763,17 +608,17 @@ mod tests {
             Box::new(Echo::default()),
             Box::new(Echo::default()),
         ]));
-        rt.send(NodeId(0), NodeId(1), 4);
+        rt.post(NodeId(0), NodeId(1), 4);
         let done = rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| e.got.iter().sum::<u32>() >= (4 + 2),
             Duration::from_secs(5),
         );
         assert!(done, "ping-pong should converge");
-        let got0 = rt.inspect::<Echo, Vec<u32>>(NodeId(0), |e| e.got.clone());
+        let got0 = rt.inspect_on::<Echo, Vec<u32>>(NodeId(0), |e| e.got.clone());
         assert_eq!(got0, vec![3, 1]);
         // 1 injected + 4 replies
-        assert_eq!(rt.message_stats().envelopes, 5);
+        assert_eq!(rt.stats().envelopes, 5);
         rt.shutdown();
     }
 
@@ -800,7 +645,7 @@ mod tests {
     #[test]
     fn timers_fire_in_real_time() {
         let mut rt = start(config(vec![Box::new(TimerUser::default())]));
-        rt.send(NodeId(0), NodeId(0), 0);
+        rt.post(NodeId(0), NodeId(0), 0);
         let ok = rt.wait_for::<TimerUser>(
             NodeId(0),
             |t: &TimerUser| t.fired >= 1,
@@ -816,7 +661,7 @@ mod tests {
             Box::new(Echo::default()),
             Box::new(Echo::default()),
         ]));
-        rt.invoke::<Echo>(NodeId(0), |_e, ctx| ctx.send(NodeId(1), 0));
+        rt.invoke_on::<Echo>(NodeId(0), |_e, ctx| ctx.send(NodeId(1), 0));
         let ok = rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
@@ -854,25 +699,25 @@ mod tests {
 
     /// Parks node 0 (a `T`) inside a `Call` until the returned sender is
     /// dropped, so a test can queue events behind it in a known order.
-    fn park<T: 'static>(rt: &Runtime<u32>) -> std::sync::mpsc::Sender<()> {
+    fn park<T: 'static>(rt: &mut Runtime<u32>) -> std::sync::mpsc::Sender<()> {
         let (release, parked) = std::sync::mpsc::channel::<()>();
-        rt.invoke::<T>(NodeId(0), move |_n, _c| {
+        rt.invoke_on::<T>(NodeId(0), move |_n, _c| {
             let _ = parked.recv();
         });
         release
     }
 
     fn steps_of(rt: &Runtime<u32>) -> Vec<Option<Vec<u32>>> {
-        rt.inspect::<Steps, _>(NodeId(0), |s| s.0.clone())
+        rt.inspect_on::<Steps, _>(NodeId(0), |s| s.0.clone())
     }
 
     #[test]
     fn messages_queued_behind_a_busy_node_are_one_step() {
         let mut rt = start(config(vec![Box::new(Steps::default())]));
         for round in [0, 10] {
-            let release = park::<Steps>(&rt);
+            let release = park::<Steps>(&mut rt);
             for m in 1..=3 {
-                rt.send(NodeId(0), NodeId(0), round + m);
+                rt.post(NodeId(0), NodeId(0), round + m);
             }
             drop(release);
         }
@@ -888,11 +733,13 @@ mod tests {
     #[test]
     fn timer_queued_between_two_messages_fires_between_them() {
         let mut rt = start(config(vec![Box::new(Steps::default())]));
-        let release = park::<Steps>(&rt);
-        rt.send(NodeId(0), NodeId(0), 1);
-        rt.send(NodeId(0), NodeId(0), 2);
-        assert!(rt.net.inboxes[0].send(Event::Timer(TimerToken(7))).is_ok());
-        rt.send(NodeId(0), NodeId(0), 3);
+        let release = park::<Steps>(&mut rt);
+        rt.post(NodeId(0), NodeId(0), 1);
+        rt.post(NodeId(0), NodeId(0), 2);
+        assert!(rt.net.inboxes[0]
+            .send(Event::Due(Due::Timer(TimerToken(7))))
+            .is_ok());
+        rt.post(NodeId(0), NodeId(0), 3);
         drop(release);
         assert_eq!(
             steps_of(&rt),
@@ -913,10 +760,10 @@ mod tests {
     fn crash_queued_between_two_messages_loses_the_second() {
         let rec = Arc::new(rqs_obs::FlightRecorder::new(64));
         let mut rt = start(config(vec![Box::new(Steps::default())]).tracer(rec.clone()));
-        let release = park::<Steps>(&rt);
-        rt.send(NodeId(0), NodeId(0), 1);
-        rt.crash_node(NodeId(0));
-        rt.send(NodeId(0), NodeId(0), 2);
+        let release = park::<Steps>(&mut rt);
+        rt.post(NodeId(0), NodeId(0), 1);
+        rt.crash(NodeId(0));
+        rt.post(NodeId(0), NodeId(0), 2);
         drop(release);
         assert_eq!(steps_of(&rt), [Some(vec![1])]);
         assert_eq!(
@@ -940,15 +787,15 @@ mod tests {
             Box::new(Echo::default()),
             Box::new(Echo::default()),
         ]));
-        rt.crash_node(NodeId(1));
-        rt.send(NodeId(0), NodeId(1), 0);
+        rt.crash(NodeId(1));
+        rt.post(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
             Duration::from_millis(100),
         ));
-        rt.restart_node(NodeId(1));
-        rt.send(NodeId(0), NodeId(1), 0);
+        rt.restart(NodeId(1));
+        rt.post(NodeId(0), NodeId(1), 0);
         assert!(rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
@@ -996,26 +843,26 @@ mod tests {
             Box::new(Volatile::default()),
             Box::new(Echo::default()),
         ]));
-        rt.send(NodeId(1), NodeId(0), 5);
+        rt.post(NodeId(1), NodeId(0), 5);
         assert!(rt.wait_for::<Volatile>(
             NodeId(0),
             |v: &Volatile| !v.got.is_empty(),
             Duration::from_secs(5),
         ));
         // Amnesia-crash before the 50-tick timer fires, then restart.
-        rt.crash_node_with(NodeId(0), CrashMode::Amnesia);
-        rt.restart_node(NodeId(0));
+        rt.crash_with(NodeId(0), CrashMode::Amnesia);
+        rt.restart(NodeId(0));
         assert!(rt.wait_for::<Volatile>(
             NodeId(0),
             |v: &Volatile| v.restores == 1,
             Duration::from_secs(5),
         ));
-        let (got, fired) = rt.inspect::<Volatile, _>(NodeId(0), |v| (v.got.clone(), v.fired));
+        let (got, fired) = rt.inspect_on::<Volatile, _>(NodeId(0), |v| (v.got.clone(), v.fired));
         assert!(got.is_empty(), "amnesia restart must drop volatile state");
         assert_eq!(fired, 0);
         // Wait past the old timer's due point: it was purged at crash.
         std::thread::sleep(Duration::from_millis(80));
-        let fired = rt.inspect::<Volatile, usize>(NodeId(0), |v| v.fired);
+        let fired = rt.inspect_on::<Volatile, usize>(NodeId(0), |v| v.fired);
         assert_eq!(fired, 0, "pre-crash timer must not fire after restart");
         rt.shutdown();
     }
@@ -1031,11 +878,11 @@ mod tests {
         // Queued behind the parked node, in this order: a message that
         // arms the 50-tick timer, a crash, a restart. The delayed message
         // is on the agenda, due after all three and after the timer.
-        let release = park::<Volatile>(&rt);
-        rt.send(NodeId(0), NodeId(0), 1);
-        rt.crash_node(NodeId(0));
-        rt.restart_node(NodeId(0));
-        rt.send(NodeId(1), NodeId(0), 0);
+        let release = park::<Volatile>(&mut rt);
+        rt.post(NodeId(0), NodeId(0), 1);
+        rt.crash(NodeId(0));
+        rt.restart(NodeId(0));
+        rt.post(NodeId(1), NodeId(0), 0);
         drop(release);
         assert!(rt.wait_for::<Volatile>(
             NodeId(0),
@@ -1044,9 +891,113 @@ mod tests {
         ));
         // The clock serves the agenda in due order, so the timer (tick
         // 50) would have reached the inbox before the message (tick 80).
-        let fired = rt.inspect::<Volatile, usize>(NodeId(0), |v| v.fired);
+        let fired = rt.inspect_on::<Volatile, usize>(NodeId(0), |v| v.fired);
         assert_eq!(fired, 0, "the purge takes the crashed node's timers");
         rt.shutdown();
+    }
+
+    /// Polls `done` every millisecond for up to 5 s; returns its last
+    /// reading.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done()
+    }
+
+    /// Whether the clock has served every agenda entry.
+    fn served(net: &NetOut<u32>) -> bool {
+        net.clock
+            .agenda
+            .lock()
+            .as_ref()
+            .is_none_or(Agenda::is_empty)
+    }
+
+    #[test]
+    fn a_firing_sent_before_a_crash_is_dead_after_the_restart() {
+        let mut rt = start(config(vec![Box::new(Volatile::default()), Box::new(Mute)]));
+        let net = rt.net.clone();
+        // Arms the 50-tick timer, then holds the node until the clock has
+        // sent its firing, which queues behind the crash and the restart
+        // queued here: the crash's purge finds nothing to purge.
+        rt.post(NodeId(1), NodeId(0), 1);
+        rt.invoke_on::<Volatile>(NodeId(0), move |_v, _c| {
+            assert!(eventually(|| served(&net)), "the clock serves the timer");
+        });
+        rt.crash(NodeId(0));
+        rt.restart(NodeId(0));
+        rt.inspect_on::<Volatile, ()>(NodeId(0), |_| ());
+        std::thread::sleep(Duration::from_millis(10));
+        let fired = rt.inspect_on::<Volatile, usize>(NodeId(0), |v| v.fired);
+        assert_eq!(fired, 0, "a timer armed before the crash fired after it");
+        rt.shutdown();
+    }
+
+    /// Arms and cancels a timer on request; counts firings.
+    #[derive(Default)]
+    struct Canceller {
+        armed: Option<TimerToken>,
+        fired: usize,
+    }
+
+    impl Automaton<u32> for Canceller {
+        fn on_message(&mut self, _f: NodeId, _m: u32, _c: &mut Context<u32>) {}
+        fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<u32>) {
+            self.fired += 1;
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Arms a `delay`-tick timer on node 0 and cancels it in the next
+    /// step — at once, or `late`: once the clock has served the entry, so
+    /// its firing is already in the inbox behind the cancelling step.
+    /// Returns how often the timer fired and whether anything of it
+    /// (entry or mark) is left on the agenda.
+    fn arm_then_cancel(delay: u64, late: bool) -> (usize, bool) {
+        let mut rt = start(config(vec![Box::new(Canceller::default())]));
+        let net = rt.net.clone();
+        rt.invoke_on::<Canceller>(NodeId(0), move |c, ctx| {
+            c.armed = Some(ctx.set_timer(delay));
+        });
+        rt.invoke_on::<Canceller>(NodeId(0), move |c, ctx| {
+            assert!(!late || eventually(|| served(&net)));
+            ctx.cancel_timer(c.armed.expect("armed first"));
+        });
+        let token = rt.inspect_on::<Canceller, _>(NodeId(0), |c| c.armed.expect("armed"));
+        // Whoever takes the firing — the clock in time, the node late —
+        // takes the mark with it.
+        let left = |net: &NetOut<u32>| {
+            let agenda = net.clock.agenda.lock();
+            agenda
+                .as_ref()
+                .is_some_and(|a| !a.is_empty() || a.is_cancelled(token))
+        };
+        eventually(|| !left(&rt.net));
+        let fired = rt.inspect_on::<Canceller, usize>(NodeId(0), |c| c.fired);
+        let left = left(&rt.net);
+        rt.shutdown();
+        (fired, left)
+    }
+
+    #[test]
+    fn a_timer_cancelled_before_it_is_due_never_fires() {
+        let (fired, left) = arm_then_cancel(20, false);
+        assert_eq!(fired, 0, "the timer fired after its cancellation");
+        assert!(!left, "the clock dropped the entry and took the mark");
+    }
+
+    #[test]
+    fn a_timer_cancelled_after_its_firing_was_sent_is_swallowed() {
+        let (fired, left) = arm_then_cancel(1, true);
+        assert_eq!(fired, 0, "the timer fired after its cancellation");
+        assert!(!left, "the node swallowed the firing and took the mark");
     }
 
     /// A node that swallows everything (Byzantine-mute stand-in).
@@ -1069,8 +1020,8 @@ mod tests {
             Box::new(Echo::default()),
             Box::new(Echo::default()),
         ]));
-        rt.swap_node(NodeId(1), Box::new(Mute));
-        rt.send(NodeId(0), NodeId(1), 3);
+        rt.replace_node(NodeId(1), Box::new(Mute));
+        rt.post(NodeId(0), NodeId(1), 3);
         // The mute replacement never replies, so node 0 sees nothing.
         assert!(!rt.wait_for::<Echo>(
             NodeId(0),
@@ -1090,7 +1041,7 @@ mod tests {
         let mut rt = start(
             config(vec![Box::new(Echo::default()), Box::new(Echo::default())]).scenario(scenario),
         );
-        rt.send(NodeId(0), NodeId(1), 0);
+        rt.post(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
@@ -1098,7 +1049,7 @@ mod tests {
         ));
         // After tick 50 (= 50 ms) the partition heals.
         std::thread::sleep(Duration::from_millis(60));
-        rt.send(NodeId(0), NodeId(1), 7);
+        rt.post(NodeId(0), NodeId(1), 7);
         assert!(rt.wait_for::<Echo>(
             NodeId(1),
             // The partitioned-away 0 stays lost; the post-heal 7 arrives.
@@ -1117,12 +1068,9 @@ mod tests {
         );
         let mut rt =
             start(config(vec![Box::new(Mute), Box::new(Echo::default())]).scenario(scenario));
-        rt.send(NodeId(0), NodeId(1), 7);
+        rt.post(NodeId(0), NodeId(1), 7);
         assert!(rt.wait_for::<Echo>(NodeId(1), |e: &Echo| e.got == [7], Duration::from_secs(5),));
-        assert!(
-            rt.elapsed() >= Duration::from_millis(40),
-            "held until the window closed"
-        );
+        assert!(rt.elapsed_units() >= 40_000, "held until the window closed");
         rt.shutdown();
     }
 
@@ -1132,7 +1080,7 @@ mod tests {
             Scenario::named("dup").link(LinkRule::every(LinkEffect::Duplicate { lag: 2 }));
         let mut rt =
             start(config(vec![Box::new(Echo::default()), Box::new(Mute)]).scenario(scenario));
-        rt.send(NodeId(0), NodeId(0), 0);
+        rt.post(NodeId(0), NodeId(0), 0);
         assert!(rt.wait_for::<Echo>(
             NodeId(0),
             |e: &Echo| e.got.len() >= 2,
@@ -1147,14 +1095,14 @@ mod tests {
         let mut rt =
             start(config(vec![Box::new(Mute), Box::new(Echo::default())]).scenario(scenario));
         for m in 1..=200 {
-            rt.send(NodeId(0), NodeId(1), m);
+            rt.post(NodeId(0), NodeId(1), m);
         }
         assert!(rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| e.got.len() == 200,
             Duration::from_secs(5),
         ));
-        let got = rt.inspect::<Echo, Vec<u32>>(NodeId(1), |e| e.got.clone());
+        let got = rt.inspect_on::<Echo, Vec<u32>>(NodeId(1), |e| e.got.clone());
         assert_eq!(got, (1..=200).collect::<Vec<u32>>());
         rt.shutdown();
     }
@@ -1164,21 +1112,21 @@ mod tests {
         let rec = Arc::new(rqs_obs::FlightRecorder::new(64));
         let mut rt = start(config(vec![Box::new(Steps::default())]).tracer(rec.clone()));
         let due = Instant::now() + Duration::from_millis(20);
-        let msg = |msg| Event::Msg {
+        let msg = |msg| Due::Deliver {
             from: NodeId(0),
             msg,
         };
         // What a crash plan and delayed messages with one due instant
         // put on the agenda.
-        for event in [
+        for entry in [
             msg(1),
             msg(2),
-            Event::Crash(CrashMode::Retain),
+            Due::Crash(CrashMode::Retain),
             msg(3),
-            Event::Restart,
+            Due::Restart,
             msg(4),
         ] {
-            rt.net.clock.schedule(due, 0, event);
+            rt.net.clock.schedule(due, NodeId(0), entry);
         }
         let received = |s: &Steps| s.0.iter().flatten().flatten().copied().collect::<Vec<_>>();
         assert!(rt.wait_for::<Steps>(
@@ -1202,7 +1150,7 @@ mod tests {
         );
         // Give the clock a beat to crash node 1 at tick 0.
         std::thread::sleep(Duration::from_millis(10));
-        rt.send(NodeId(0), NodeId(1), 0);
+        rt.post(NodeId(0), NodeId(1), 0);
         assert!(!rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
@@ -1210,7 +1158,7 @@ mod tests {
         ));
         // After the restart at tick 40 the node processes again.
         std::thread::sleep(Duration::from_millis(50));
-        rt.send(NodeId(0), NodeId(1), 0);
+        rt.post(NodeId(0), NodeId(1), 0);
         assert!(rt.wait_for::<Echo>(
             NodeId(1),
             |e: &Echo| !e.got.is_empty(),
@@ -1227,8 +1175,11 @@ mod tests {
             .crash(0, FAR);
         let mut rt =
             start(config(vec![Box::new(Echo::default()), Box::new(Mute)]).scenario(scenario));
-        rt.send(NodeId(1), NodeId(0), 0);
-        assert_eq!(rt.net.clock.agenda.lock().heap.len(), 2);
+        rt.post(NodeId(1), NodeId(0), 0);
+        assert_eq!(
+            rt.net.clock.agenda.lock().as_ref().map(Agenda::len),
+            Some(2)
+        );
         let t0 = Instant::now();
         rt.shutdown();
         assert!(t0.elapsed() < Duration::from_millis(500));

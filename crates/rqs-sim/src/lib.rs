@@ -10,8 +10,9 @@
 //! - Byzantine fault injection by automaton substitution,
 //! - scripted network schedules ([`NetworkScript`]) expressive enough to
 //!   reproduce the executions of the paper's Figures 1, 4, 8 and 16,
-//! - deterministic `(time, sequence)` event ordering, so every execution
-//!   is exactly reproducible,
+//! - one [`Agenda`] of deliveries, timers, crashes and restarts in
+//!   `(time, sequence)` order, shared with the threaded runtime, so every
+//!   simulated execution is exactly reproducible,
 //! - a pluggable [`Scheduler`] seam over the pending-event set, turning
 //!   the same world into an adversarial scheduler for systematic schedule
 //!   exploration (see the `rqs-check` crate).
@@ -47,6 +48,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod agenda;
 pub mod network;
 pub mod node;
 pub mod scenario;
@@ -55,6 +57,7 @@ pub mod substrate;
 pub mod time;
 pub mod world;
 
+pub use agenda::{Agenda, Due, Entry};
 pub use network::{Envelope, Fate, FatePolicy, NetworkScript, Rule, Selector};
 pub use node::{Automaton, Context, NodeId, TimerToken};
 pub use scenario::{

@@ -170,9 +170,9 @@ impl<M> Context<M> {
 
     /// Opens the context for a new step of `node` at `now`, as
     /// [`Context::new`] would, but keeps the allocations of its emptied
-    /// buffers: an executor that steps often (the simulator, an automaton
-    /// stepping inner automata) reuses one context instead of building a
-    /// fresh one per step.
+    /// buffers: an executor that steps often (either substrate, an
+    /// automaton stepping inner automata) reuses one context instead of
+    /// building a fresh one per step.
     pub fn reset(&mut self, node: NodeId, now: Time, timer_counter: u64) {
         self.node = node;
         self.now = now;
@@ -196,19 +196,17 @@ impl<M> Context<M> {
         &self.outbox
     }
 
-    /// Moves the buffered messages out in send order, keeping the buffer
-    /// (the by-reference counterpart of [`Context::into_outputs`]).
+    /// Moves the buffered messages out in send order, keeping the buffer.
     pub fn drain_sent(&mut self) -> std::vec::Drain<'_, (NodeId, M)> {
         self.outbox.drain(..)
     }
 
-    /// Timers armed by this step as `(delay, token)` pairs (test
-    /// inspection).
+    /// Timers armed by this step as `(delay, token)` pairs.
     pub fn armed_timers(&self) -> &[(u64, TimerToken)] {
         &self.timers
     }
 
-    /// Timers cancelled by this step (test inspection).
+    /// Timers cancelled by this step.
     pub fn cancelled_timers(&self) -> &[TimerToken] {
         &self.cancelled
     }
@@ -218,14 +216,6 @@ impl<M> Context<M> {
     /// runtime).
     pub fn timer_counter_snapshot(&self) -> u64 {
         self.timer_counter
-    }
-
-    /// Decomposes the context into its buffered outputs:
-    /// `(messages, armed timers, cancelled timers)`. Used by external
-    /// executors; the simulator world consumes the fields directly.
-    #[allow(clippy::type_complexity)]
-    pub fn into_outputs(self) -> (Vec<(NodeId, M)>, Vec<(u64, TimerToken)>, Vec<TimerToken>) {
-        (self.outbox, self.timers, self.cancelled)
     }
 
     /// The id of the node taking this step.

@@ -6,13 +6,13 @@
 //! committing to an execution substrate. The same description drives both
 //! deployments:
 //!
-//! - on the deterministic simulator it compiles to a fate policy
-//!   ([`ScenarioNet`] implements [`FatePolicy`]), and crash plans become
-//!   scheduled [`crash_at`](crate::World::crash_at) /
-//!   [`restart_at`](crate::World::restart_at) events;
+//! - on the deterministic simulator link rules compile to a fate policy
+//!   ([`ScenarioNet`] implements [`FatePolicy`]);
 //! - on the threaded runtime the very same [`ScenarioNet::decide`] core
-//!   runs in the send path, on the sender's thread, and delayed messages
-//!   and crash plans become entries on the runtime's one clock.
+//!   runs in the send path, on the sender's thread;
+//! - on both, a delayed message is a delivery entry and a crash plan is
+//!   a crash and a restart entry on the [`Agenda`](crate::Agenda) the
+//!   substrate drives.
 //!
 //! All times are protocol ticks: one tick is one synchronous message
 //! delay on the simulator, one configured tick length on the runtime.

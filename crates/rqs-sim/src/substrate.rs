@@ -6,19 +6,24 @@
 //! time, and how a driver waits for an operation to finish. [`Substrate`]
 //! captures exactly that surface — node registration, message posting,
 //! `invoke`/`inspect`, await-with-deadline, crash/restart and Byzantine
-//! substitution — so the storage, consensus and KV deployment drivers can
-//! be written once, generically, and run unchanged on either executor:
+//! substitution — so the storage, consensus and KV deployment drivers are
+//! written once, generically, and run unchanged on either executor. It is
+//! also the only way to reach the threaded runtime.
 //!
-//! - [`World`] implements it with deterministic discrete
-//!   events ([`Substrate::await_on`] is `run_until` with a step budget);
-//! - `rqs_runtime::Runtime` implements it with node-per-thread execution
-//!   (`await_on` is the blocking `wait_for` poll with a wall-clock
-//!   timeout).
+//! Both executors drive one [`Agenda`](crate::Agenda): whatever happens
+//! later than the step that caused it — a delayed message, a timer, a
+//! crash plan — is an entry in `(time, sequence)` order.
+//!
+//! - [`World`] pops the agenda over simulated time
+//!   ([`Substrate::await_on`] is `run_until` with a step budget);
+//! - `rqs_runtime::Runtime` serves it from one clock thread over wall
+//!   time, into node-per-thread inboxes (`await_on` is the blocking
+//!   `wait_for` poll with a wall-clock timeout).
 //!
 //! Fault injection plugs in at the same seam: a declarative
 //! [`Scenario`] handed to [`SubstrateConfig`] compiles to a fate policy
-//! plus crash and restart queue entries on the simulator, and to the
-//! same decision in the runtime's send path plus entries on its clock.
+//! on the simulator and to the same decision in the runtime's send path;
+//! on both, its crash plans are crash and restart entries on the agenda.
 //!
 //! # The step over a batch
 //!
@@ -212,7 +217,9 @@ pub trait Substrate<M: Clone + Send + 'static>: Sized {
     /// Crashes the node now: it stops processing and sending until
     /// [`Substrate::restart`]. Messages arriving meanwhile are lost.
     /// Equivalent to [`Substrate::crash_with`] in [`CrashMode::Retain`].
-    fn crash(&mut self, id: NodeId);
+    fn crash(&mut self, id: NodeId) {
+        self.crash_with(id, CrashMode::Retain);
+    }
 
     /// Crashes the node now with an explicit [`CrashMode`]: `Retain`
     /// behaves like [`Substrate::crash`]; `Amnesia` makes the eventual
@@ -293,10 +300,6 @@ impl<M: Clone + Send + 'static> Substrate<M> for World<M> {
         max_steps: usize,
     ) -> bool {
         self.run_until_bounded(|w| pred(w.node_as::<T>(id)), max_steps)
-    }
-
-    fn crash(&mut self, id: NodeId) {
-        self.crash_with(id, CrashMode::Retain);
     }
 
     fn crash_with(&mut self, id: NodeId, mode: CrashMode) {

@@ -1,83 +1,44 @@
-//! The deterministic event loop driving a set of automata.
+//! The deterministic substrate: an [`Agenda`] over simulated time, plus
+//! an optional [`Scheduler`].
 //!
-//! A [`World`] owns the nodes, the global clock and the event queue.
-//! Events (message deliveries, timer expirations, crashes) execute in
-//! `(time, sequence)` order, so executions are bit-for-bit reproducible —
-//! the property the paper's indistinguishability arguments rely on.
-//! In that order a run of consecutive deliveries to one node at one time
-//! is one step over the batch ([`Automaton::on_messages`]) — the
-//! simulator's picture of a node draining its inbox; under a
-//! [`Scheduler`] every step stays one event.
+//! A [`World`] owns the nodes, the simulated clock and the agenda.
+//! Entries (deliveries, timer expirations, crashes, restarts) execute in
+//! the agenda's `(time, sequence)` order, so executions are bit-for-bit
+//! reproducible — the property the paper's indistinguishability
+//! arguments rely on. In that order a run of consecutive deliveries to
+//! one node at one time is one step over the batch
+//! ([`Automaton::on_messages`]) — the simulator's picture of a node
+//! draining its inbox. A [`Scheduler`] instead picks among all pending
+//! entries, one per step.
 
+use crate::agenda::{Agenda, Due, Entry};
 use crate::network::{Envelope, Fate, FatePolicy};
-use crate::node::{Automaton, Context, NodeId, TimerToken};
+use crate::node::{Automaton, Context, NodeId};
 use crate::scenario::CrashMode;
 use crate::sched::{fnv1a_fold, PendingEvent, PendingKind, SchedDecision, Scheduler};
 use crate::time::Time;
 use rqs_obs::{Obs, TraceKind, LANE_SYS};
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashSet};
 
-/// Events in the queue.
-#[derive(Debug)]
-enum Event<M> {
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    Timer { node: NodeId, token: TimerToken },
-    Crash { node: NodeId, mode: CrashMode },
-    Restart { node: NodeId },
-}
-
-struct Queued<M> {
-    at: Time,
-    seq: u64,
-    event: Event<M>,
-}
-
-impl<M> Queued<M> {
-    /// Payload-free view handed to schedulers.
-    fn view(&self) -> PendingEvent {
-        let kind = match &self.event {
-            Event::Deliver { from, to, .. } => PendingKind::Deliver {
-                from: *from,
-                to: *to,
-            },
-            Event::Timer { node, token } => PendingKind::Timer {
-                node: *node,
-                token: token.0,
-            },
-            Event::Crash { node, .. } => PendingKind::Crash { node: *node },
-            Event::Restart { node } => PendingKind::Restart { node: *node },
-        };
-        PendingEvent {
-            at: self.at,
-            seq: self.seq,
-            kind,
-        }
+/// The payload-free view of an entry handed to schedulers.
+fn view<M>(e: &Entry<Time, M>) -> PendingEvent {
+    let node = e.node;
+    let kind = match &e.due {
+        Due::Deliver { from, .. } => PendingKind::Deliver {
+            from: *from,
+            to: node,
+        },
+        Due::Timer(token) => PendingKind::Timer {
+            node,
+            token: token.0,
+        },
+        Due::Crash(_) => PendingKind::Crash { node },
+        Due::Restart => PendingKind::Restart { node },
+    };
+    PendingEvent {
+        at: e.at,
+        seq: e.seq,
+        kind,
     }
-}
-
-impl<M> PartialEq for Queued<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Queued<M> {}
-impl<M> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Drops every pending timer of `node` from a drained pending set (the
-/// scheduled-step analogue of [`World::purge_node_timers`]).
-fn purge_pending_timers<M>(pending: &mut Vec<Queued<M>>, node: usize) {
-    pending.retain(|q| !matches!(&q.event, Event::Timer { node: n, .. } if n.0 == node));
 }
 
 /// One line of the execution trace (for debugging and figure rendering).
@@ -138,11 +99,9 @@ pub struct World<M> {
     nodes: Vec<Option<Box<dyn Automaton<M>>>>,
     crashed: Vec<bool>,
     crash_modes: Vec<CrashMode>,
-    queue: BinaryHeap<Reverse<Queued<M>>>,
+    agenda: Agenda<Time, M>,
     held: Vec<(u32, Envelope<M>)>,
-    cancelled_timers: HashSet<(usize, u64)>,
     now: Time,
-    seq: u64,
     timer_counter: u64,
     policy: Box<dyn FatePolicy<M>>,
     scheduler: Option<Box<dyn Scheduler>>,
@@ -167,11 +126,9 @@ impl<M: Clone + 'static> World<M> {
             nodes: Vec::new(),
             crashed: Vec::new(),
             crash_modes: Vec::new(),
-            queue: BinaryHeap::new(),
+            agenda: Agenda::default(),
             held: Vec::new(),
-            cancelled_timers: HashSet::new(),
             now: Time::ZERO,
-            seq: 0,
             timer_counter: 0,
             policy: Box::new(policy),
             scheduler: None,
@@ -206,7 +163,7 @@ impl<M: Clone + 'static> World<M> {
     }
 
     /// Installs a [`Scheduler`]: from the next [`World::step`] on, the
-    /// scheduler — not the `(time, sequence)` queue order — decides which
+    /// scheduler — not the agenda's `(time, sequence)` order — decides which
     /// pending event executes next (the adversarial-scheduler seam used
     /// by `rqs-check`). Without a scheduler the behaviour is exactly the
     /// historical deterministic order.
@@ -226,23 +183,18 @@ impl<M: Clone + 'static> World<M> {
     /// delivery *times* and sequence numbers, so two executions that
     /// reached the same protocol state by different schedules collide.
     pub fn digest_with(&self, hash_msg: impl Fn(&M) -> u64) -> u64 {
-        let mut events: Vec<u64> = Vec::with_capacity(self.queue.len() + self.held.len());
-        for Reverse(q) in self.queue.iter() {
-            let h = match &q.event {
-                Event::Deliver { from, to, msg } => fnv1a_fold(
-                    fnv1a_fold(fnv1a_fold(1, from.0 as u64), to.0 as u64),
+        let mut events: Vec<u64> = Vec::with_capacity(self.agenda.len() + self.held.len());
+        for e in self.agenda.iter() {
+            let node = e.node.0 as u64;
+            let h = match &e.due {
+                Due::Deliver { from, msg } => fnv1a_fold(
+                    fnv1a_fold(fnv1a_fold(1, from.0 as u64), node),
                     hash_msg(msg),
                 ),
-                Event::Timer { node, token } => {
-                    if self.cancelled_timers.contains(&(node.0, token.0)) {
-                        continue; // semantically already gone
-                    }
-                    fnv1a_fold(fnv1a_fold(2, node.0 as u64), token.0)
-                }
-                Event::Crash { node, mode } => {
-                    fnv1a_fold(fnv1a_fold(3, node.0 as u64), *mode as u64)
-                }
-                Event::Restart { node } => fnv1a_fold(4, node.0 as u64),
+                Due::Timer(token) if self.agenda.is_cancelled(*token) => continue,
+                Due::Timer(token) => fnv1a_fold(fnv1a_fold(2, node), token.0),
+                Due::Crash(mode) => fnv1a_fold(fnv1a_fold(3, node), *mode as u64),
+                Due::Restart => fnv1a_fold(4, node),
             };
             events.push(h);
         }
@@ -379,7 +331,7 @@ impl<M: Clone + 'static> World<M> {
     /// node's pending self-timers — timers are volatile state and must
     /// not survive into the post-restart execution.
     pub fn crash_at_mode(&mut self, node: NodeId, t: Time, mode: CrashMode) {
-        self.push(t, Event::Crash { node, mode });
+        self.agenda.push(t, node, Due::Crash(mode));
     }
 
     /// Schedules a restart: from time `t` the node processes messages and
@@ -387,7 +339,7 @@ impl<M: Clone + 'static> World<M> {
     /// the crash that took it down ([`CrashMode`]). Messages delivered
     /// while it was crashed stay lost.
     pub fn restart_at(&mut self, node: NodeId, t: Time) {
-        self.push(t, Event::Restart { node });
+        self.agenda.push(t, node, Due::Restart);
     }
 
     /// Invokes an operation on a node immediately (at the current time):
@@ -443,14 +395,11 @@ impl<M: Clone + 'static> World<M> {
                 "release tag {tag}: {} → {} delivered at {at}",
                 env.from, env.to
             ));
-            self.push(
-                at,
-                Event::Deliver {
-                    from: env.from,
-                    to: env.to,
-                    msg: env.msg,
-                },
-            );
+            let due = Due::Deliver {
+                from: env.from,
+                msg: env.msg,
+            };
+            self.agenda.push(at, env.to, due);
         }
     }
 
@@ -459,55 +408,47 @@ impl<M: Clone + 'static> World<M> {
         self.held.len()
     }
 
-    /// Executes a single event; returns `false` when the queue is empty.
+    /// Executes a single entry; returns `false` when the agenda is empty.
     ///
-    /// Without a scheduler, events execute in deterministic
+    /// Without a scheduler, entries execute in the agenda's deterministic
     /// `(time, sequence)` order, and a delivery takes with it the
     /// deliveries to the same node at the same time that follow it
     /// directly in that order: one step over the batch. With a scheduler
-    /// (see [`World::set_scheduler`]), it picks among all pending events,
+    /// (see [`World::set_scheduler`]), it picks among all pending entries,
     /// one per step, and the clock only moves forward (delivering a
-    /// "late" event early keeps the current time — the adversarial
+    /// "late" entry early keeps the current time — the adversarial
     /// asynchronous semantics).
     pub fn step(&mut self) -> bool {
         if self.scheduler.is_some() {
             return self.step_scheduled();
         }
-        let Some(Reverse(q)) = self.queue.pop() else {
+        let Some(e) = self.agenda.pop_if(|_| true) else {
             return false;
         };
-        debug_assert!(q.at >= self.now, "time went backwards");
-        self.now = q.at;
+        debug_assert!(e.at >= self.now, "time went backwards");
+        self.now = e.at;
         self.stats.steps += 1;
-        self.dispatch(q.event);
+        self.dispatch(e.node, e.due);
         true
     }
 
-    /// One scheduler-controlled step: purge no-op events, present the
+    /// One scheduler-controlled step: purge no-op entries, present the
     /// pending set in canonical order, apply the scheduler's decision.
     fn step_scheduled(&mut self) -> bool {
-        // Drain the heap: pops come out in (time, sequence) order, which
-        // is exactly the canonical order schedulers index into.
-        let mut pending: Vec<Queued<M>> = Vec::with_capacity(self.queue.len());
-        while let Some(Reverse(q)) = self.queue.pop() {
-            pending.push(q);
-        }
-        // Purge events that would be no-ops anyway (cancelled timers,
+        let mut pending = self.agenda.drain_ordered();
+        // Purge entries that would be no-ops anyway (cancelled timers,
         // timers of crashed nodes, deliveries to crashed nodes) so the
         // explorer does not branch over them.
-        let crashed = &self.crashed;
-        let cancelled = &mut self.cancelled_timers;
-        pending.retain(|q| match &q.event {
-            Event::Timer { node, token } => {
-                !crashed[node.0] && !cancelled.remove(&(node.0, token.0))
-            }
-            Event::Deliver { to, .. } => !crashed[to.0],
+        let (crashed, agenda) = (&self.crashed, &mut self.agenda);
+        pending.retain(|e| match e.due {
+            Due::Timer(token) => !crashed[e.node.0] && !agenda.take_cancelled(token),
+            Due::Deliver { .. } => !crashed[e.node.0],
             _ => true,
         });
         if pending.is_empty() {
             return false;
         }
-        let views: Vec<PendingEvent> = pending.iter().map(Queued::view).collect();
+        let views: Vec<PendingEvent> = pending.iter().map(view).collect();
         let mut decision = self
             .scheduler
             .as_mut()
@@ -520,19 +461,19 @@ impl<M: Clone + 'static> World<M> {
             }
         }
         self.stats.steps += 1;
+        let last = views.len() - 1;
         match decision {
             SchedDecision::Deliver(i) => {
-                let q = pending.swap_remove(i.min(views.len() - 1));
-                self.requeue(pending);
-                if q.at > self.now {
-                    self.now = q.at;
-                }
-                self.dispatch(q.event);
+                let e = pending.swap_remove(i.min(last));
+                self.agenda.restore(pending);
+                self.now = self.now.max(e.at);
+                self.dispatch(e.node, e.due);
             }
             SchedDecision::Drop(i) => {
-                let q = pending.swap_remove(i.min(views.len() - 1));
-                self.requeue(pending);
-                if let Event::Deliver { from, to, .. } = q.event {
+                let e = pending.swap_remove(i.min(last));
+                self.agenda.restore(pending);
+                if let Due::Deliver { from, .. } = e.due {
+                    let to = e.node;
                     self.stats.messages_dropped += 1;
                     self.obs.emit(
                         TraceKind::Drop,
@@ -546,49 +487,42 @@ impl<M: Clone + 'static> World<M> {
                 }
             }
             SchedDecision::Crash(node) => {
+                self.agenda.restore(pending);
                 if node < self.crashed.len() {
                     self.crashed[node] = true;
                     self.crash_modes[node] = CrashMode::Retain;
-                    purge_pending_timers(&mut pending, node);
-                    self.cancelled_timers.retain(|(n, _)| *n != node);
+                    self.agenda.purge_timers(NodeId(node));
                     self.log(format!("n{node} crashed by scheduler"));
                 }
-                self.requeue(pending);
             }
             SchedDecision::CrashRecover(node) => {
+                self.agenda.restore(pending);
                 if node < self.crashed.len() && !self.crashed[node] {
-                    purge_pending_timers(&mut pending, node);
-                    self.cancelled_timers.retain(|(n, _)| *n != node);
+                    self.agenda.purge_timers(NodeId(node));
                     let replayed = self.nodes[node].as_mut().map_or(0, |n| n.restore_state());
                     self.log(format!(
                         "n{node} amnesia-crashed and recovered by scheduler \
                          ({replayed} log records replayed)"
                     ));
                 }
-                self.requeue(pending);
             }
         }
         true
     }
 
-    fn requeue(&mut self, pending: Vec<Queued<M>>) {
-        for q in pending {
-            self.queue.push(Reverse(q));
-        }
-    }
-
-    /// Executes one dequeued event at the current time.
-    fn dispatch(&mut self, event: Event<M>) {
-        match event {
-            Event::Crash { node, mode } => {
+    /// Executes one entry for `node` at the current time.
+    fn dispatch(&mut self, node: NodeId, due: Due<M>) {
+        let now = self.now.ticks();
+        match due {
+            Due::Crash(mode) => {
                 self.crashed[node.0] = true;
                 self.crash_modes[node.0] = mode;
                 // Timers are volatile state: a timer armed before the
                 // crash must not fire after a restart (in either mode).
-                self.purge_node_timers(node.0);
+                self.agenda.purge_timers(node);
                 self.obs.emit(
                     TraceKind::Crash,
-                    self.now.ticks(),
+                    now,
                     node.0 as u64,
                     LANE_SYS,
                     mode as u64,
@@ -596,39 +530,34 @@ impl<M: Clone + 'static> World<M> {
                 );
                 self.log(format!("{node} crashed ({})", mode.label()));
             }
-            Event::Restart { node } => {
+            Due::Restart => {
                 self.crashed[node.0] = false;
-                if self.crash_modes[node.0] == CrashMode::Amnesia {
+                let amnesia = self.crash_modes[node.0] == CrashMode::Amnesia;
+                let mut replayed = 0;
+                if amnesia {
                     self.crash_modes[node.0] = CrashMode::Retain;
-                    let replayed = self.nodes[node.0].as_mut().map_or(0, |n| n.restore_state());
-                    self.obs.emit(
-                        TraceKind::Recover,
-                        self.now.ticks(),
-                        node.0 as u64,
-                        LANE_SYS,
-                        replayed as u64,
-                        1,
-                    );
-                    self.log(format!(
-                        "{node} restarted (amnesia: {replayed} log records replayed)"
-                    ));
-                } else {
-                    self.obs.emit(
-                        TraceKind::Recover,
-                        self.now.ticks(),
-                        node.0 as u64,
-                        LANE_SYS,
-                        0,
-                        0,
-                    );
-                    self.log(format!("{node} restarted"));
+                    replayed = self.nodes[node.0].as_mut().map_or(0, |n| n.restore_state());
                 }
+                self.obs.emit(
+                    TraceKind::Recover,
+                    now,
+                    node.0 as u64,
+                    LANE_SYS,
+                    replayed as u64,
+                    amnesia as u64,
+                );
+                self.log(if amnesia {
+                    format!("{node} restarted (amnesia: {replayed} log records replayed)")
+                } else {
+                    format!("{node} restarted")
+                });
             }
-            Event::Deliver { from, to, msg } => {
+            Due::Deliver { from, msg } => {
+                let to = node;
                 if self.crashed[to.0] {
                     self.obs.emit(
                         TraceKind::Drop,
-                        self.now.ticks(),
+                        now,
                         to.0 as u64,
                         LANE_SYS,
                         from.0 as u64,
@@ -645,8 +574,8 @@ impl<M: Clone + 'static> World<M> {
                 self.step_node(to, |node, ctx| node.on_messages(batch.drain(..), ctx));
                 self.batch = batch;
             }
-            Event::Timer { node, token } => {
-                if self.crashed[node.0] || self.cancelled_timers.remove(&(node.0, token.0)) {
+            Due::Timer(token) => {
+                if self.crashed[node.0] || self.agenda.take_cancelled(token) {
                     return;
                 }
                 self.stats.timers_fired += 1;
@@ -656,21 +585,20 @@ impl<M: Clone + 'static> World<M> {
         }
     }
 
-    /// Takes the next event in `(time, sequence)` order if it is a
+    /// Takes the next entry in `(time, sequence)` order if it is a
     /// delivery to `to` at the current time (never under a scheduler,
-    /// whose step is one event). `to` is live and nothing stands between
+    /// whose step is one entry). `to` is live and nothing stands between
     /// the two deliveries, so it is live for this one too.
     fn pop_delivery_to(&mut self, to: NodeId) -> Option<(NodeId, M)> {
         if self.scheduler.is_some() {
             return None;
         }
-        let next = self.queue.peek_mut()?;
-        if next.0.at != self.now || !matches!(next.0.event, Event::Deliver { to: t, .. } if t == to)
-        {
-            return None;
-        }
-        match PeekMut::pop(next).0.event {
-            Event::Deliver { from, msg, .. } => Some((from, msg)),
+        let now = self.now;
+        let next = self
+            .agenda
+            .pop_if(|e| e.at == now && e.node == to && matches!(e.due, Due::Deliver { .. }))?;
+        match next.due {
+            Due::Deliver { from, msg } => Some((from, msg)),
             _ => unreachable!("matched a delivery above"),
         }
     }
@@ -693,7 +621,7 @@ impl<M: Clone + 'static> World<M> {
         self.batch.push((from, msg));
     }
 
-    /// Runs until the queue is empty or `max_steps` events executed;
+    /// Runs until the agenda is empty or `max_steps` entries executed;
     /// returns the number of steps taken.
     ///
     /// # Panics
@@ -708,14 +636,14 @@ impl<M: Clone + 'static> World<M> {
         panic!("no quiescence after {max_steps} steps");
     }
 
-    /// Runs until the queue is empty (bounded at 10 million steps).
+    /// Runs until the agenda is empty (bounded at 10 million steps).
     pub fn run_to_quiescence(&mut self) -> usize {
         self.run_to_quiescence_bounded(10_000_000)
     }
 
     /// Runs until `pred(self)` holds, checking after every step.
     ///
-    /// Returns `true` if the predicate held, `false` if the queue drained
+    /// Returns `true` if the predicate held, `false` if the agenda drained
     /// first.
     ///
     /// # Panics
@@ -760,15 +688,10 @@ impl<M: Clone + 'static> World<M> {
         false
     }
 
-    /// Runs all events scheduled strictly before `deadline`.
+    /// Runs all entries scheduled strictly before `deadline`.
     pub fn run_before(&mut self, deadline: Time) {
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(q)) if q.at < deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while self.agenda.next_at().is_some_and(|at| at < deadline) {
+            self.step();
         }
         if self.now < deadline {
             self.now = deadline;
@@ -776,32 +699,6 @@ impl<M: Clone + 'static> World<M> {
     }
 
     // ---- internals ----------------------------------------------------
-
-    fn push(&mut self, at: Time, event: Event<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Queued { at, seq, event }));
-    }
-
-    /// Removes every queued timer of `node` (and its stale cancellation
-    /// marks): called at crash time so no pre-crash timer leaks into the
-    /// post-restart execution.
-    fn purge_node_timers(&mut self, node: usize) {
-        let had_timers = self
-            .queue
-            .iter()
-            .any(|Reverse(q)| matches!(&q.event, Event::Timer { node: n, .. } if n.0 == node));
-        if had_timers {
-            let drained = std::mem::take(&mut self.queue);
-            self.queue = drained
-                .into_iter()
-                .filter(
-                    |Reverse(q)| !matches!(&q.event, Event::Timer { node: n, .. } if n.0 == node),
-                )
-                .collect();
-        }
-        self.cancelled_timers.retain(|(n, _)| *n != node);
-    }
 
     fn log(&mut self, what: String) {
         if let Some(trace) = &mut self.trace {
@@ -838,13 +735,13 @@ impl<M: Clone + 'static> World<M> {
             }
             for (delay, token) in timers.by_ref().take(cut.1 - routed.1) {
                 let at = self.now + delay.max(1);
-                self.push(at, Event::Timer { node: id, token });
+                self.agenda.push(at, id, Due::Timer(token));
             }
             routed = cut;
         }
         drop((outbox, timers));
         for &token in &ctx.cancelled {
-            self.cancelled_timers.insert((id.0, token.0));
+            self.agenda.cancel(token);
         }
         self.ctx = ctx;
     }
@@ -852,63 +749,41 @@ impl<M: Clone + 'static> World<M> {
     fn route(&mut self, env: Envelope<M>) {
         self.stats.messages_sent += 1;
         self.stats.items_sent += self.sizer.map_or(1, |s| s(&env.msg)) as usize;
-        match self.policy.fate(&env) {
-            Fate::Deliver { delay } => {
-                let at = self.now + delay.max(1);
-                self.push(
-                    at,
-                    Event::Deliver {
-                        from: env.from,
-                        to: env.to,
-                        msg: env.msg,
-                    },
-                );
-            }
-            Fate::DeliverAt(t) => {
-                let at = if t <= self.now { self.now + 1 } else { t };
-                self.push(
-                    at,
-                    Event::Deliver {
-                        from: env.from,
-                        to: env.to,
-                        msg: env.msg,
-                    },
-                );
-            }
+        let (from, to) = (env.from, env.to);
+        let at = match self.policy.fate(&env) {
+            Fate::Deliver { delay } => self.now + delay.max(1),
+            Fate::DeliverAt(t) => t.max(self.now + 1),
             Fate::Duplicate { first, second } => {
-                let copy = Event::Deliver {
-                    from: env.from,
-                    to: env.to,
+                let copy = Due::Deliver {
+                    from,
                     msg: env.msg.clone(),
                 };
-                self.push(self.now + first.max(1), copy);
-                self.log(format!("{} → {}: duplicated", env.from, env.to));
-                self.push(
-                    self.now + second.max(1),
-                    Event::Deliver {
-                        from: env.from,
-                        to: env.to,
-                        msg: env.msg,
-                    },
-                );
+                self.agenda.push(self.now + first.max(1), to, copy);
+                self.log(format!("{from} → {to}: duplicated"));
+                self.now + second.max(1)
             }
             Fate::Hold(tag) => {
-                self.log(format!("{} → {}: held (tag {tag})", env.from, env.to));
+                self.log(format!("{from} → {to}: held (tag {tag})"));
                 self.held.push((tag, env));
+                return;
             }
             Fate::Drop => {
                 self.stats.messages_dropped += 1;
+                let now = self.now.ticks();
                 self.obs.emit(
                     TraceKind::Drop,
-                    self.now.ticks(),
-                    env.to.0 as u64,
+                    now,
+                    to.0 as u64,
                     LANE_SYS,
-                    env.from.0 as u64,
+                    from.0 as u64,
                     0,
                 );
-                self.log(format!("{} → {}: dropped by policy", env.from, env.to));
+                self.log(format!("{from} → {to}: dropped by policy"));
+                return;
             }
-        }
+        };
+        self.agenda
+            .push(at, to, Due::Deliver { from, msg: env.msg });
     }
 }
 
@@ -916,6 +791,7 @@ impl<M: Clone + 'static> World<M> {
 mod tests {
     use super::*;
     use crate::network::{NetworkScript, Rule, Selector};
+    use crate::node::TimerToken;
     use std::any::Any;
 
     /// Test automaton: counts pings, pongs back until a limit.

@@ -8,9 +8,10 @@
 //! deterministic simulator ([`StorageHarness`] is the
 //! `StorageDeployment<World<StorageMsg>>` alias, with extra sim-only
 //! scripting methods) and on the threaded runtime
-//! (`rqs_runtime::RtStorage` wraps the same driver). Fault injection goes
-//! through a declarative [`Scenario`], which compiles to a fate policy on
-//! the simulator and is decided in the send path on the runtime.
+//! (`StorageDeployment<rqs_runtime::Runtime<StorageMsg>>`). Fault
+//! injection goes through a declarative [`Scenario`], which compiles to a
+//! fate policy on the simulator and is decided in the send path on the
+//! runtime.
 
 use crate::atomicity::{AtomicityViolation, OpKind, OpRecord};
 use crate::byzantine::ForgedServer;

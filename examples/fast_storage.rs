@@ -14,10 +14,11 @@
 //! ```
 
 use rqs::core::threshold::ThresholdConfig;
-use rqs::runtime::RtStorage;
+use rqs::runtime::Runtime;
+use rqs::sim::Scenario;
 use rqs::storage::byzantine::ForgedServer;
-use rqs::storage::{StorageHarness, TsVal, Value};
-use std::time::Duration;
+use rqs::storage::{StorageDeployment, StorageHarness, StorageMsg, TsVal, Value};
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7 bricks; up to 2 may be down, 1 of those arbitrarily faulty.
@@ -26,16 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Part 1: threaded deployment, wall-clock numbers --------------
     println!("\n[threaded runtime] 20 write/read pairs on live threads:");
-    let mut array = RtStorage::with_tick(config.build()?, 1, Duration::from_micros(500));
+    let tick = Duration::from_micros(500);
+    let mut array: StorageDeployment<Runtime<StorageMsg>> =
+        StorageDeployment::with_setup(config.build()?, 1, Scenario::default(), tick);
     let mut write_total = Duration::ZERO;
     let mut read_total = Duration::ZERO;
     for i in 0..20u64 {
-        let (w, w_wall) = array.write(Value::from(i));
-        let (r, r_wall) = array.read(0);
+        let start = Instant::now();
+        let w = array.write(Value::from(i));
+        write_total += start.elapsed();
+        let start = Instant::now();
+        let r = array.read(0);
+        read_total += start.elapsed();
         assert_eq!(r.returned.val, Value::from(i));
         assert_eq!(w.rounds, 1, "all bricks alive: fast path");
-        write_total += w_wall;
-        read_total += r_wall;
     }
     println!("  mean write latency: {:?} (1 round)", write_total / 20);
     println!("  mean read  latency: {:?} (1 round)", read_total / 20);

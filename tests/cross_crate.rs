@@ -1,11 +1,19 @@
 //! Cross-crate integration: the facade API, the threaded runtime, and a
 //! combined consensus-then-storage scenario.
 
-use rqs::consensus::ConsensusHarness;
-use rqs::runtime::{RtConsensus, RtStorage};
-use rqs::storage::{StorageHarness, Value};
-use rqs::{Adversary, ProcessSet, QuorumClass, ThresholdConfig};
-use std::time::Duration;
+use rqs::consensus::{ConsensusDeployment, ConsensusHarness, ConsensusMsg};
+use rqs::runtime::Runtime;
+use rqs::sim::Scenario;
+use rqs::storage::{StorageDeployment, StorageHarness, StorageMsg, Value};
+use rqs::{Adversary, ProcessSet, QuorumClass, Rqs, ThresholdConfig};
+use std::time::{Duration, Instant};
+
+/// The threaded runtime's tick in these tests.
+const TICK: Duration = Duration::from_micros(500);
+
+fn threaded_storage(rqs: Rqs, readers: usize) -> StorageDeployment<Runtime<StorageMsg>> {
+    StorageDeployment::with_setup(rqs, readers, Scenario::default(), TICK)
+}
 
 #[test]
 fn all_six_facade_modules_resolve() {
@@ -84,23 +92,26 @@ fn agree_on_config_then_store() {
 #[test]
 fn threaded_storage_many_ops() {
     let rqs = ThresholdConfig::crash_fast(5, 1).build().unwrap();
-    let mut st = RtStorage::with_tick(rqs, 2, Duration::from_micros(500));
+    let mut st = threaded_storage(rqs, 2);
     for v in 1..=5u64 {
-        let (w, _) = st.write(Value::from(v));
-        assert_eq!(w.rounds, 1);
-        let (r0, _) = st.read(0);
-        let (r1, _) = st.read(1);
-        assert_eq!(r0.returned.val, Value::from(v));
-        assert_eq!(r1.returned.val, Value::from(v));
+        assert_eq!(st.write(Value::from(v)).rounds, 1);
+        assert_eq!(st.read(0).returned.val, Value::from(v));
+        assert_eq!(st.read(1).returned.val, Value::from(v));
     }
+    // The generic driver checks atomicity on the runtime too.
+    st.check_atomicity().unwrap();
     st.shutdown();
 }
 
 #[test]
 fn threaded_consensus_agrees() {
     let rqs = ThresholdConfig::byzantine_fast(1).build().unwrap();
-    let mut cons = RtConsensus::with_tick(rqs, 2, 2, Duration::from_micros(500));
-    let wall = cons.propose_and_learn(0, 42);
+    let mut cons: ConsensusDeployment<Runtime<ConsensusMsg>> =
+        ConsensusDeployment::with_setup(rqs, 2, 2, Scenario::default(), TICK);
+    let start = Instant::now();
+    cons.propose(0, 42);
+    assert!(cons.run_until_learned(0), "learners did not learn");
+    let wall = start.elapsed();
     assert_eq!(cons.learned(0), Some(42));
     assert_eq!(cons.learned(1), Some(42));
     assert!(wall < Duration::from_secs(10));
@@ -116,10 +127,10 @@ fn simulator_and_runtime_agree_on_rounds() {
     let sim_w = sim.write(Value::from(9u64)).rounds;
     let sim_r = sim.read(0).rounds;
 
-    let mut rt = RtStorage::with_tick(mk(), 1, Duration::from_micros(500));
-    let (rt_w, _) = rt.write(Value::from(9u64));
-    let (rt_r, _) = rt.read(0);
+    let mut rt = threaded_storage(mk(), 1);
+    let rt_w = rt.write(Value::from(9u64)).rounds;
+    let rt_r = rt.read(0).rounds;
     rt.shutdown();
 
-    assert_eq!((sim_w, sim_r), (rt_w.rounds, rt_r.rounds));
+    assert_eq!((sim_w, sim_r), (rt_w, rt_r));
 }
