@@ -32,6 +32,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod consensus;
 pub mod runtime;
+#[cfg(test)]
+mod storage;
 
 pub use runtime::{Runtime, DEFAULT_TICK};
