@@ -102,8 +102,30 @@ fn e9_view_change_recovers() {
 fn all_reports_render() {
     let reports = bench::all_reports();
     assert!(reports.len() >= 11);
+    let mut printed = String::new();
     for r in reports {
         let text = r.to_string();
         assert!(text.contains("=="), "report must render: {text}");
+        printed.push_str(&format!("{text}\n"));
+    }
+    // `exp_all --quick` prints exactly these reports, one per `println!`:
+    // the committed golden pins every figure reproduction byte for byte.
+    let golden = include_str!("exp_all_quick.txt");
+    if printed != golden {
+        let (got, want): (Vec<&str>, Vec<&str>) =
+            (printed.lines().collect(), golden.lines().collect());
+        let mut diff = String::new();
+        for i in 0..got.len().max(want.len()) {
+            let (g, w) = (got.get(i), want.get(i));
+            if g != w {
+                diff.push_str(&format!(
+                    "line {}:\n- {}\n+ {}\n",
+                    i + 1,
+                    w.unwrap_or(&"<none>"),
+                    g.unwrap_or(&"<none>")
+                ));
+            }
+        }
+        panic!("exp_all --quick output differs from tests/exp_all_quick.txt (- golden, + now):\n{diff}");
     }
 }
