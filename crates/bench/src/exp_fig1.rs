@@ -9,7 +9,7 @@
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_core::ProcessSet;
-use rqs_sim::{Fate, NetworkScript, NodeId, Rule, Selector, World};
+use rqs_sim::{LinkEffect, LinkRule, NodeId, Scenario, ScenarioNet, Selector, World};
 use rqs_storage::naive::{NaiveClient, NaiveServer};
 use rqs_storage::{StorageHarness, Value};
 
@@ -30,7 +30,7 @@ pub struct Fig1Outcome {
 
 /// Runs Figure 1's schedule against the naive 3-of-5-fast algorithm.
 pub fn run_naive() -> Fig1Outcome {
-    let mut world = World::new(NetworkScript::synchronous());
+    let mut world = World::new(ScenarioNet::benign());
     let servers: Vec<NodeId> = (0..5)
         .map(|_| world.add_node(Box::new(NaiveServer::new())))
         .collect();
@@ -40,24 +40,27 @@ pub fn run_naive() -> Fig1Outcome {
 
     // ex3: the write is incomplete — round-1 messages reach only s3.
     world.set_policy(
-        NetworkScript::synchronous()
-            .rule(
-                Rule::always(Fate::Deliver { delay: 1 })
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Delay(0))
                     .from(Selector::Is(writer))
                     .to(Selector::Is(servers[2])),
             )
-            .rule(Rule::always(Fate::Drop).from(Selector::Is(writer))),
+            .link(LinkRule::every(LinkEffect::Drop).from(Selector::Is(writer)))
+            .network(),
     );
     world.invoke::<NaiveClient>(writer, |c, ctx| c.start_write(Value::from(7u64), ctx));
     world.run_to_quiescence();
 
     // rd1 accesses {s3, s4, s5} (replies from s1, s2 lost).
     world.set_policy(
-        NetworkScript::synchronous().rule(
-            Rule::always(Fate::Drop)
-                .from(Selector::In(vec![servers[0], servers[1]]))
-                .to(Selector::Is(r1)),
-        ),
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Drop)
+                    .from(Selector::In(vec![servers[0], servers[1]]))
+                    .to(Selector::Is(r1)),
+            )
+            .network(),
     );
     world.invoke::<NaiveClient>(r1, |c, ctx| c.start_read(ctx));
     world.run_to_quiescence();
@@ -68,7 +71,7 @@ pub fn run_naive() -> Fig1Outcome {
     world.crash_at(servers[2], now);
     world.crash_at(servers[4], now);
     world.run_before(now + 1);
-    world.set_policy(NetworkScript::synchronous());
+    world.set_policy(ScenarioNet::benign());
     world.invoke::<NaiveClient>(r2, |c, ctx| c.start_read(ctx));
     world.run_to_quiescence();
     let rd2 = world.node_as::<NaiveClient>(r2).outcomes()[0].clone();
@@ -93,13 +96,14 @@ pub fn run_rqs() -> Fig1Outcome {
 
     // Incomplete write: round-1 messages reach only s3; the writer stalls.
     h.world_mut().set_policy(
-        NetworkScript::synchronous()
-            .rule(
-                Rule::always(Fate::Deliver { delay: 1 })
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Delay(0))
                     .from(Selector::Is(writer))
                     .to(Selector::Is(s2)),
             )
-            .rule(Rule::always(Fate::Drop).from(Selector::Is(writer))),
+            .link(LinkRule::every(LinkEffect::Drop).from(Selector::Is(writer)))
+            .network(),
     );
     h.start_write(Value::from(7u64));
     h.world_mut().run_to_quiescence();
@@ -107,17 +111,19 @@ pub fn run_rqs() -> Fig1Outcome {
     // rd1 sees only {s3, s4, s5}.
     let (s0, s1, r1_node) = (h.servers()[0], h.servers()[1], h.reader_id(0));
     h.world_mut().set_policy(
-        NetworkScript::synchronous().rule(
-            Rule::always(Fate::Drop)
-                .from(Selector::In(vec![s0, s1]))
-                .to(Selector::Is(r1_node)),
-        ),
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Drop)
+                    .from(Selector::In(vec![s0, s1]))
+                    .to(Selector::Is(r1_node)),
+            )
+            .network(),
     );
     let rd1 = h.read(0);
 
     // ex4: s3 and s5 crash; rd2 reads from the survivors.
     let now = h.now();
-    h.world_mut().set_policy(NetworkScript::synchronous());
+    h.world_mut().set_policy(ScenarioNet::benign());
     h.crash_servers(ProcessSet::from_indices([2, 4]));
     let _ = now;
     let rd2 = h.read(1);

@@ -89,14 +89,14 @@ pub fn run(roles: AttackRoles) -> FullAttackOutcome {
             // of 1.
             ConsensusMsg::Prepare { view: 0, .. } if env.from == p0 => {
                 if q1_nodes.contains(&env.to) {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 } else {
                     Fate::Drop
                 }
             }
             ConsensusMsg::Prepare { view: 0, .. } if env.from == p1 => {
                 if prep1_nodes.contains(&env.to) || byz_nodes.contains(&env.to) {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 } else {
                     Fate::Drop
                 }
@@ -107,12 +107,12 @@ pub fn run(roles: AttackRoles) -> FullAttackOutcome {
                     .iter()
                     .any(|&node| node == env.from && node == acceptor_nodes[ack.acceptor.0])
                 {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 } else {
                     Fate::Drop
                 }
             }
-            _ => Fate::DEFAULT,
+            _ => Fate::Deliver { delay: 1 },
         }
     };
     h.world_mut().set_policy(policy);

@@ -20,7 +20,7 @@
 
 use crate::report::Report;
 use rqs_core::{Adversary, ProcessSet, Rqs};
-use rqs_sim::{Fate, NetworkScript, Rule, Selector};
+use rqs_sim::{LinkEffect, LinkRule, Scenario, ScenarioNet, Selector};
 use rqs_storage::byzantine::ForgedServer;
 use rqs_storage::{StorageHarness, TsVal, Value};
 
@@ -76,38 +76,40 @@ pub fn run_chain() -> Fig4Outcome {
     // ex3: slow, incomplete write — round-1 wr messages reach s1..s5 but
     // not s6; all acks to the writer are lost, so the write stays open.
     h.world_mut().set_policy(
-        NetworkScript::synchronous()
-            .rule(
-                Rule::always(Fate::Drop)
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Drop)
                     .from(Selector::Is(writer))
                     .to(Selector::Is(s5)),
             )
-            .rule(Rule::always(Fate::Drop).to(Selector::Is(writer))),
+            .link(LinkRule::every(LinkEffect::Drop).to(Selector::Is(writer)))
+            .network(),
     );
     h.start_write(Value::from(1u64));
     h.world_mut().run_to_quiescence();
 
     // rd by r1: r1 and s6 cannot talk — r1 sees exactly Q2 = {s1..s5}.
     h.world_mut().set_policy(
-        NetworkScript::synchronous()
-            .rule(
-                Rule::always(Fate::Drop)
+        Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Drop)
                     .from(Selector::Is(s5))
                     .to(Selector::Is(r1)),
             )
-            .rule(
-                Rule::always(Fate::Drop)
+            .link(
+                LinkRule::every(LinkEffect::Drop)
                     .from(Selector::Is(r1))
                     .to(Selector::Is(s5)),
             )
-            .rule(Rule::always(Fate::Drop).to(Selector::Is(writer))),
+            .link(LinkRule::every(LinkEffect::Drop).to(Selector::Is(writer)))
+            .network(),
     );
     let rd1 = h.read(0);
     let ex3_read = (rd1.rounds, rd1.returned.to_string());
 
     // ex4: s5 crashes; B12 = {s1,s2} forget the write-back (present the
     // pre-write-back state: the pair without quorum ids).
-    h.world_mut().set_policy(NetworkScript::synchronous());
+    h.world_mut().set_policy(ScenarioNet::benign());
     h.crash_servers(ProcessSet::from_indices([4]));
     let forged = TsVal::new(1, Value::from(1u64));
     h.make_byzantine(0, Box::new(ForgedServer::with_slot1(&forged)));

@@ -91,14 +91,18 @@ fn schedule(
                     2 => round2_targets.contains(&idx),
                     _ => false,
                 };
-                return if allowed { Fate::DEFAULT } else { Fate::Drop };
+                return if allowed {
+                    Fate::Deliver { delay: 1 }
+                } else {
+                    Fate::Drop
+                };
             }
-            return Fate::DEFAULT;
+            return Fate::Deliver { delay: 1 };
         }
         if env.to == r1 {
             if let Some(i) = from_server {
                 return if rd1_visible.contains(&i) {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 } else {
                     Fate::Drop
                 };
@@ -107,7 +111,7 @@ fn schedule(
         if env.to == r2 {
             if let Some(i) = from_server {
                 return if rd2_visible.contains(&i) {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 } else {
                     Fate::Drop
                 };
@@ -127,7 +131,7 @@ fn schedule(
                 }
             }
         }
-        Fate::DEFAULT
+        Fate::Deliver { delay: 1 }
     }
 }
 

@@ -15,7 +15,7 @@ use crate::report::Report;
 use rqs_consensus::ConsensusHarness;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_core::{ProcessSet, QuorumClass, Rqs};
-use rqs_sim::{NetworkScript, NodeId, Time, World};
+use rqs_sim::{NodeId, ScenarioNet, Time, World};
 use rqs_storage::abd::{AbdClient, AbdServer};
 use rqs_storage::{StorageHarness, Value};
 
@@ -60,7 +60,7 @@ pub fn measure_storage(rqs: Rqs, f: usize) -> StorageLatencyRow {
 
 /// Measures the ABD baseline (crash-only majorities).
 pub fn measure_abd(n: usize, f: usize) -> (usize, usize) {
-    let mut world = World::new(NetworkScript::synchronous());
+    let mut world = World::new(ScenarioNet::benign());
     let servers: Vec<NodeId> = (0..n)
         .map(|_| world.add_node(Box::new(AbdServer::new())))
         .collect();

@@ -11,7 +11,7 @@
 use crate::report::Report;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_core::Rqs;
-use rqs_sim::{NetworkScript, NodeId, World};
+use rqs_sim::{NodeId, ScenarioNet, World};
 use rqs_storage::regular::RegularReader;
 use rqs_storage::{Server, Value, Writer};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn graded() -> Rqs {
 pub fn measure_regular_read(f: usize) -> (usize, bool) {
     let rqs = Arc::new(graded());
     let n = rqs.universe_size();
-    let mut world = World::new(NetworkScript::synchronous());
+    let mut world = World::new(ScenarioNet::benign());
     let servers: Vec<NodeId> = (0..n)
         .map(|_| world.add_node(Box::new(Server::new())))
         .collect();

@@ -15,9 +15,7 @@ use crate::proposer::Proposer;
 use crate::types::{ConsensusMsg, ProposalValue};
 use rqs_core::{ProcessId, ProcessSet, Rqs};
 use rqs_crypto::{KeyRegistry, SignerId};
-use rqs_sim::{
-    Automaton, NetworkScript, NodeId, Scenario, Substrate, SubstrateConfig, Time, World,
-};
+use rqs_sim::{Automaton, NodeId, Scenario, Substrate, SubstrateConfig, Time, World};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,7 +41,6 @@ pub struct ConsensusDeployment<S: Substrate<ConsensusMsg>> {
     sub: S,
     cfg: ConsensusConfig,
     propose_time: Option<Time>,
-    crashed_learners: Vec<usize>,
 }
 
 /// The simulated consensus deployment (back-compat alias).
@@ -117,7 +114,6 @@ impl<S: Substrate<ConsensusMsg>> ConsensusDeployment<S> {
             sub,
             cfg,
             propose_time: None,
-            crashed_learners: Vec::new(),
         }
     }
 
@@ -138,12 +134,6 @@ impl<S: Substrate<ConsensusMsg>> ConsensusDeployment<S> {
         }
     }
 
-    /// Marks learner `i` crashed (excluded from agreement checks).
-    pub fn crash_learner(&mut self, i: usize) {
-        self.sub.crash(self.cfg.learners[i]);
-        self.crashed_learners.push(i);
-    }
-
     /// Proposer `i` proposes `value`. The first proposal timestamps the
     /// latency measurement.
     pub fn propose(&mut self, i: usize, value: ProposalValue) {
@@ -155,19 +145,12 @@ impl<S: Substrate<ConsensusMsg>> ConsensusDeployment<S> {
             .invoke_on::<Proposer>(node, move |p, ctx| p.propose(value, ctx));
     }
 
-    /// Runs until every correct learner has learned (or the budget is
+    /// Runs until every learner has learned (or the budget is
     /// exhausted — `max_steps` events on the simulator, the configured
     /// timeout per learner on wall-clock substrates); returns whether
     /// they all learned.
     pub fn run_until_learned(&mut self, max_steps: usize) -> bool {
-        let learners: Vec<NodeId> = self
-            .cfg
-            .learners
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.crashed_learners.contains(i))
-            .map(|(_, &n)| n)
-            .collect();
+        let learners = self.cfg.learners.clone();
         learners.into_iter().all(|l| {
             self.sub
                 .await_on::<Learner>(l, |lr| lr.learned().is_some(), max_steps)
@@ -198,14 +181,11 @@ impl<S: Substrate<ConsensusMsg>> ConsensusDeployment<S> {
             .collect()
     }
 
-    /// The agreed value if every correct learner learned the same value;
+    /// The agreed value if every learner learned the same value;
     /// `None` if any is missing or they disagree (an Agreement violation).
     pub fn agreed_value(&self) -> Option<ProposalValue> {
         let mut agreed: Option<ProposalValue> = None;
-        for (i, _) in self.cfg.learners.iter().enumerate() {
-            if self.crashed_learners.contains(&i) {
-                continue;
-            }
+        for i in 0..self.cfg.learners.len() {
             let v = self.learned(i)?;
             match agreed {
                 None => agreed = Some(v),
@@ -230,13 +210,6 @@ impl<S: Substrate<ConsensusMsg>> ConsensusDeployment<S> {
 
 /// Simulator-only scripting surface.
 impl ConsensusHarness {
-    /// Builds a deployment with a custom network script.
-    pub fn with_script(rqs: Rqs, proposers: usize, learners: usize, script: NetworkScript) -> Self {
-        let mut h = Self::new(rqs, proposers, learners);
-        h.world_mut().set_policy(script);
-        h
-    }
-
     /// The underlying world.
     pub fn world_mut(&mut self) -> &mut World<ConsensusMsg> {
         &mut self.sub

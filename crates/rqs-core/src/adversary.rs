@@ -270,15 +270,6 @@ impl Adversary {
         out
     }
 
-    /// Does this adversary admit the given Byzantine set in an execution?
-    ///
-    /// Alias of [`Adversary::contains`] with intent-revealing naming used
-    /// by the fault-injection layers.
-    #[inline]
-    pub fn admits_byzantine(&self, byz: ProcessSet) -> bool {
-        self.contains(byz)
-    }
-
     /// Smallest basic subset of `within`, if any: a minimal witness that
     /// `within` is basic. Returns `None` when `within ∈ B`.
     ///

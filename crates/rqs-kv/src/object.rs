@@ -88,11 +88,6 @@ impl ShardMap {
             .map(|o| ObjectId(o as u64))
             .collect()
     }
-
-    /// Iterator over every object id.
-    pub fn all_objects(&self) -> impl Iterator<Item = ObjectId> {
-        (0..self.objects as u64).map(ObjectId)
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rqs_core::threshold::ThresholdConfig;
 use rqs_kv::{KvBatch, KvClient, KvItem, KvOp, KvServer, Lane, ObjectId};
 use rqs_runtime::Runtime;
-use rqs_sim::{Automaton, Context, NetworkScript, NodeId, Substrate, SubstrateConfig, Time, World};
+use rqs_sim::{Automaton, Context, NodeId, ScenarioNet, Substrate, SubstrateConfig, Time, World};
 use rqs_storage::{wal, OpKind, StorageMsg, Value};
 use rqs_store::StoreHandle;
 use std::any::Any;
@@ -336,7 +336,7 @@ fn write(object: u64, ts: u64) -> KvBatch {
 #[test]
 fn sim_same_tick_envelopes_share_one_append_unless_something_comes_between() {
     let store = StoreHandle::mem();
-    let mut w: World<KvBatch> = World::new(NetworkScript::synchronous());
+    let mut w: World<KvBatch> = World::new(ScenarioNet::benign());
     let s = w.add_node(Box::new(KvServer::with_store(store.clone())));
     let c1 = w.add_node(Box::new(Sink::default()));
     let c2 = w.add_node(Box::new(Sink::default()));

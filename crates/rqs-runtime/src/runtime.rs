@@ -18,8 +18,8 @@
 //! `(instant, sequence)` entries, served by the single `rt-clock` thread,
 //! which puts an entry into its node's inbox when it comes due. An armed
 //! timer is a timer entry at `now + delay`; a message a link rule delays,
-//! holds or duplicates is a delivery entry at its due instant; a
-//! [`Scenario`]'s crash plan is crash and restart entries pushed at start.
+//! holds until a heal or duplicates is a delivery entry at its due
+//! instant; a [`Scenario`]'s crash plan is crash and restart entries pushed at start.
 //! Entries due at the same instant fire in insertion order.
 //!
 //! A cancelled timer is one mark on the agenda, and whichever side takes
@@ -33,8 +33,7 @@
 //!
 //! 1. every outbound message — a node's, or one injected through
 //!    [`Substrate::post`] — passes `NetOut::send` exactly once;
-//! 2. its fate (`ScenarioNet::decide`: deliver, delay, hold, duplicate
-//!    or drop — the wall-clock analogue of the simulator's fate policy)
+//! 2. its [`Fate`] (`ScenarioNet::decide`, the simulator's fate policy)
 //!    is decided there, on the sender's thread, at the send tick;
 //! 3. everything that happens later than the step that caused it is an
 //!    agenda entry.
@@ -43,8 +42,8 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use rqs_obs::{Obs, TraceKind, LANE_SYS};
 use rqs_sim::{
-    Agenda, Automaton, Context, CrashMode, Due, LinkDecision, NodeId, Scenario, ScenarioNet,
-    Substrate, SubstrateConfig, SubstrateStats, Time, TimerToken,
+    Agenda, Automaton, Context, CrashMode, Due, Fate, NodeId, Scenario, ScenarioNet, Substrate,
+    SubstrateConfig, SubstrateStats, Time, TimerToken,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,14 +159,17 @@ impl<M: Clone> NetOut<M> {
         // Windowed link rules key on the send tick (the simulator's
         // `env.sent_at`), and a delay is timed from this instant.
         let sent_tick = self.now_ticks();
-        let decision = links.lock().decide(from, to, sent_tick);
-        let deliver = |msg: M| self.enqueue(to, Event::Due(Due::Deliver { from, msg }));
+        let fate = links.lock().decide(from, to, sent_tick);
         let later = |at: Instant, msg: M| self.clock.schedule(at, to, Due::Deliver { from, msg });
-        match decision {
-            LinkDecision::Deliver { extra: 0 } => deliver(msg),
-            LinkDecision::Deliver { extra } => later(Instant::now() + self.wall(extra), msg),
-            LinkDecision::DeliverAtTick(t) => later(self.instant_of(t), msg),
-            LinkDecision::Drop => {
+        // The first of `delay` ticks is the channel's own latency.
+        let after = |delay: u64, msg: M| match delay {
+            0 | 1 => self.enqueue(to, Event::Due(Due::Deliver { from, msg })),
+            _ => later(Instant::now() + self.wall(delay - 1), msg),
+        };
+        match fate {
+            Fate::Deliver { delay } => after(delay, msg),
+            Fate::DeliverAt(t) => later(self.instant_of(t.ticks()), msg),
+            Fate::Drop => {
                 self.obs.emit(
                     TraceKind::Drop,
                     sent_tick,
@@ -177,9 +179,9 @@ impl<M: Clone> NetOut<M> {
                     0,
                 );
             }
-            LinkDecision::Duplicate { lag } => {
-                deliver(msg.clone());
-                later(Instant::now() + self.wall(lag.max(1)), msg);
+            Fate::Duplicate { first, second } => {
+                after(first, msg.clone());
+                after(second, msg);
             }
         }
     }
@@ -1084,6 +1086,22 @@ mod tests {
         assert!(rt.wait_for::<Echo>(
             NodeId(0),
             |e: &Echo| e.got.len() >= 2,
+            Duration::from_secs(5),
+        ));
+        rt.shutdown();
+
+        // `lag: 0`: the copy lags by no tick, so both arrive well within
+        // one (long) tick, as on the simulator.
+        let scenario =
+            Scenario::named("dup0").link(LinkRule::every(LinkEffect::Duplicate { lag: 0 }));
+        let config = config(vec![Box::new(Echo::default()), Box::new(Mute)])
+            .tick(Duration::from_secs(60))
+            .scenario(scenario);
+        let mut rt = start(config);
+        rt.post(NodeId(0), NodeId(0), 0);
+        assert!(rt.wait_for::<Echo>(
+            NodeId(0),
+            |e: &Echo| e.got == [0, 0],
             Duration::from_secs(5),
         ));
         rt.shutdown();

@@ -5,11 +5,13 @@
 //! point-to-point channels under a global clock, with
 //!
 //! - configurable synchrony (`Δ`-bounded delivery) and asynchrony
-//!   (arbitrary delay, holds, drops),
+//!   (arbitrary delay, duplication, drops),
 //! - crash fault injection at arbitrary times,
 //! - Byzantine fault injection by automaton substitution,
-//! - scripted network schedules ([`NetworkScript`]) expressive enough to
-//!   reproduce the executions of the paper's Figures 1, 4, 8 and 16,
+//! - one link language for both substrates: a [`Scenario`]'s link rules
+//!   decide each message's [`Fate`] ([`ScenarioNet`]); closure
+//!   [`FatePolicy`]s pick fates by message content, as the executions of
+//!   the paper's Figures 1, 4, 8 and 16 need,
 //! - one [`Agenda`] of deliveries, timers, crashes and restarts in
 //!   `(time, sequence)` order, shared with the threaded runtime, so every
 //!   simulated execution is exactly reproducible,
@@ -24,7 +26,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use rqs_sim::{World, Automaton, Context, NodeId, NetworkScript};
+//! use rqs_sim::{World, Automaton, Context, NodeId, ScenarioNet};
 //! use std::any::Any;
 //!
 //! #[derive(Default)]
@@ -37,7 +39,7 @@
 //!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 //! }
 //!
-//! let mut world = World::new(NetworkScript::synchronous());
+//! let mut world = World::new(ScenarioNet::benign());
 //! let a = world.add_node(Box::new(Counter::default()));
 //! let b = world.add_node(Box::new(Counter::default()));
 //! world.post(a, b, "hello");
@@ -58,11 +60,9 @@ pub mod time;
 pub mod world;
 
 pub use agenda::{Agenda, Due, Entry};
-pub use network::{Envelope, Fate, FatePolicy, NetworkScript, Rule, Selector};
+pub use network::{Envelope, Fate, FatePolicy, Selector};
 pub use node::{Automaton, Context, NodeId, TimerToken};
-pub use scenario::{
-    CrashMode, CrashPlan, LinkDecision, LinkEffect, LinkRule, Scenario, ScenarioNet,
-};
+pub use scenario::{CrashMode, CrashPlan, LinkEffect, LinkRule, Scenario, ScenarioNet};
 pub use sched::{fnv1a, fnv1a_fold, PendingEvent, PendingKind, SchedDecision, Scheduler};
 pub use substrate::{
     Substrate, SubstrateConfig, SubstrateStats, DEFAULT_AWAIT_STEPS, DEFAULT_OP_TIMEOUT,

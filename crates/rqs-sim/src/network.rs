@@ -1,20 +1,22 @@
-//! Network modelling: delivery fates, scripted schedules, synchrony.
+//! Network modelling: the fate of every message.
 //!
 //! The paper's executions are defined by *when* (and whether) each message
-//! is delivered. The simulator routes every sent message through a
-//! [`FatePolicy`], which decides its [`Fate`]:
+//! is delivered. Every sent message is routed through a [`FatePolicy`],
+//! which decides its [`Fate`]:
 //!
 //! - `Deliver { delay }` — arrives after `delay` ticks (synchrony means
 //!   `delay ≤ Δ`);
 //! - `DeliverAt(t)` — arrives at an absolute time (used for "remains in
 //!   transit until after round K" constructions);
-//! - `Hold(tag)` — parked until the harness releases the tag (used for
-//!   "delayed until some condition" constructions);
+//! - `Duplicate { first, second }` — arrives twice (duplicating channels);
 //! - `Drop` — never delivered (lossy channels of the consensus model, or
 //!   messages a crashing process never sent).
 //!
-//! [`NetworkScript`] is a declarative rule list covering the schedules of
-//! Figures 1, 4, 8 and 16; fully-custom policies can be provided as
+//! Declarative schedules — the link rules of a
+//! [`Scenario`](crate::Scenario), compiled to a
+//! [`ScenarioNet`](crate::ScenarioNet) — decide the same `Fate` on the
+//! simulator and on the threaded runtime. Schedules that depend on a
+//! message's content (the constructions of Figures 1, 4, 8 and 16) are
 //! closures.
 
 use crate::node::NodeId;
@@ -44,9 +46,6 @@ pub enum Fate {
     },
     /// Deliver at an absolute time (clamped to be after the send).
     DeliverAt(Time),
-    /// Park until [`World::release`](crate::World::release) is called with
-    /// the same tag, then deliver with the default delay.
-    Hold(u32),
     /// Never deliver.
     Drop,
     /// Deliver two copies, after `first` and `second` ticks respectively
@@ -60,13 +59,8 @@ pub enum Fate {
     },
 }
 
-impl Fate {
-    /// Deliver with the default synchronous delay (`Δ = 1`).
-    pub const DEFAULT: Fate = Fate::Deliver { delay: 1 };
-}
-
-/// Decides the fate of every message. Implemented by [`NetworkScript`] and
-/// by arbitrary closures.
+/// Decides the fate of every message. Implemented by
+/// [`ScenarioNet`](crate::ScenarioNet) and by arbitrary closures.
 pub trait FatePolicy<M> {
     /// Routing decision for `env` sent at time `env.sent_at`.
     fn fate(&mut self, env: &Envelope<M>) -> Fate;
@@ -81,7 +75,7 @@ where
     }
 }
 
-/// Matches a set of nodes in a [`Rule`].
+/// Matches a set of nodes in a [`LinkRule`](crate::LinkRule).
 #[derive(Clone, Debug, Default)]
 pub enum Selector {
     /// Matches every node.
@@ -107,164 +101,15 @@ impl Selector {
     }
 }
 
-/// One scripted delivery rule: the first matching rule decides a message's
-/// fate.
-#[derive(Clone, Debug)]
-pub struct Rule {
-    /// Sender filter.
-    pub from: Selector,
-    /// Receiver filter.
-    pub to: Selector,
-    /// Send-time window `[start, end)`; `end = None` means forever.
-    pub window: (Time, Option<Time>),
-    /// Fate applied when the rule matches.
-    pub fate: Fate,
-}
-
-impl Rule {
-    /// A rule matching all messages forever with the given fate.
-    pub fn always(fate: Fate) -> Self {
-        Rule {
-            from: Selector::Any,
-            to: Selector::Any,
-            window: (Time::ZERO, None),
-            fate,
-        }
-    }
-
-    /// Restricts the sender.
-    pub fn from(mut self, sel: Selector) -> Self {
-        self.from = sel;
-        self
-    }
-
-    /// Restricts the receiver.
-    pub fn to(mut self, sel: Selector) -> Self {
-        self.to = sel;
-        self
-    }
-
-    /// Restricts the send-time window to `[start, end)`.
-    pub fn between(mut self, start: Time, end: Time) -> Self {
-        self.window = (start, Some(end));
-        self
-    }
-
-    /// Restricts the send-time window to `[start, ∞)`.
-    pub fn starting(mut self, start: Time) -> Self {
-        self.window = (start, None);
-        self
-    }
-
-    fn matches<M>(&self, env: &Envelope<M>) -> bool {
-        let (start, end) = self.window;
-        env.sent_at >= start
-            && end.is_none_or(|e| env.sent_at < e)
-            && self.from.matches(env.from)
-            && self.to.matches(env.to)
-    }
-}
-
-/// Ordered rule list with a default fate; the declarative fate policy used
-/// by the figure reproductions.
-///
-/// # Examples
-///
-/// Drop everything from node 0 to nodes 3 and 4 from time 10 on, deliver
-/// the rest synchronously:
-///
-/// ```
-/// use rqs_sim::{NetworkScript, Rule, Fate, Selector, NodeId, Time};
-/// let script = NetworkScript::synchronous()
-///     .rule(
-///         Rule::always(Fate::Drop)
-///             .from(Selector::Is(NodeId(0)))
-///             .to(Selector::In(vec![NodeId(3), NodeId(4)]))
-///             .starting(Time(10)),
-///     );
-/// ```
-#[derive(Clone, Debug)]
-pub struct NetworkScript {
-    rules: Vec<Rule>,
-    default: Fate,
-}
-
-impl NetworkScript {
-    /// All messages delivered with delay 1 (a fully synchronous network
-    /// with `Δ = 1`).
-    pub fn synchronous() -> Self {
-        NetworkScript {
-            rules: Vec::new(),
-            default: Fate::DEFAULT,
-        }
-    }
-
-    /// All messages delivered with a fixed delay.
-    pub fn with_delay(delay: u64) -> Self {
-        NetworkScript {
-            rules: Vec::new(),
-            default: Fate::Deliver { delay },
-        }
-    }
-
-    /// Appends a rule (earlier rules win).
-    pub fn rule(mut self, rule: Rule) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Changes the default fate for unmatched messages.
-    pub fn default_fate(mut self, fate: Fate) -> Self {
-        self.default = fate;
-        self
-    }
-
-    /// Convenience: drop every message sent by `node` from time `t` on —
-    /// the observable effect of a crash at `t` (the node also stops
-    /// processing; pair with [`World::crash_at`](crate::World::crash_at)).
-    pub fn silence_from(self, node: NodeId, t: Time) -> Self {
-        self.rule(
-            Rule::always(Fate::Drop)
-                .from(Selector::Is(node))
-                .starting(t),
-        )
-    }
-
-    /// Convenience: partition `group_a` from `group_b` during
-    /// `[start, end)` (messages in both directions dropped).
-    pub fn partition(
-        self,
-        group_a: Vec<NodeId>,
-        group_b: Vec<NodeId>,
-        start: Time,
-        end: Option<Time>,
-    ) -> Self {
-        let mk = |from: Vec<NodeId>, to: Vec<NodeId>| {
-            let mut r = Rule::always(Fate::Drop)
-                .from(Selector::In(from))
-                .to(Selector::In(to));
-            r.window = (start, end);
-            r
-        };
-        self.rule(mk(group_a.clone(), group_b.clone()))
-            .rule(mk(group_b, group_a))
-    }
-}
-
-impl<M> FatePolicy<M> for NetworkScript {
-    fn fate(&mut self, env: &Envelope<M>) -> Fate {
-        for rule in &self.rules {
-            if rule.matches(env) {
-                return rule.fate;
-            }
-        }
-        self.default
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! How a message's fate is decided: selectors, the rule language's
+    //! first-match and window semantics, and closure policies.
+
     use super::*;
+    use crate::{LinkEffect, LinkRule, Scenario, ScenarioNet};
+
+    const PROMPT: Fate = Fate::Deliver { delay: 1 };
 
     fn env(from: usize, to: usize, at: u64) -> Envelope<u8> {
         Envelope {
@@ -273,6 +118,10 @@ mod tests {
             msg: 0,
             sent_at: Time(at),
         }
+    }
+
+    fn fate(net: &mut ScenarioNet, from: usize, to: usize, at: u64) -> Fate {
+        net.fate(&env(from, to, at))
     }
 
     #[test]
@@ -284,75 +133,92 @@ mod tests {
         assert!(!Selector::In(vec![NodeId(1)]).matches(NodeId(2)));
         assert!(Selector::NotIn(vec![NodeId(1)]).matches(NodeId(2)));
         assert!(!Selector::NotIn(vec![NodeId(2)]).matches(NodeId(2)));
+        // A rule matches only when both its sender and receiver match.
+        let mut net = Scenario::default()
+            .link(
+                LinkRule::every(LinkEffect::Drop)
+                    .from(Selector::Is(NodeId(0)))
+                    .to(Selector::In(vec![NodeId(3), NodeId(4)])),
+            )
+            .network();
+        assert_eq!(fate(&mut net, 0, 4, 0), Fate::Drop);
+        assert_eq!(fate(&mut net, 1, 4, 0), PROMPT);
+        assert_eq!(fate(&mut net, 0, 2, 0), PROMPT);
     }
 
     #[test]
     fn default_synchronous() {
-        let mut s = NetworkScript::synchronous();
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 0)), Fate::DEFAULT);
+        assert_eq!(fate(&mut ScenarioNet::benign(), 0, 1, 0), PROMPT);
     }
 
     #[test]
     fn first_rule_wins() {
-        let mut s = NetworkScript::synchronous()
-            .rule(Rule::always(Fate::Drop).from(Selector::Is(NodeId(0))))
-            .rule(Rule::always(Fate::Deliver { delay: 9 }));
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 0)), Fate::Drop);
-        assert_eq!(
-            FatePolicy::<u8>::fate(&mut s, &env(2, 1, 0)),
-            Fate::Deliver { delay: 9 }
-        );
+        let mut net = Scenario::default()
+            .link(LinkRule::every(LinkEffect::Drop).from(Selector::Is(NodeId(0))))
+            .link(LinkRule::every(LinkEffect::Delay(8)))
+            .network();
+        assert_eq!(fate(&mut net, 0, 1, 0), Fate::Drop);
+        assert_eq!(fate(&mut net, 2, 1, 0), Fate::Deliver { delay: 9 });
     }
 
     #[test]
     fn window_filtering() {
-        let mut s =
-            NetworkScript::synchronous().rule(Rule::always(Fate::Drop).between(Time(5), Time(10)));
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 4)), Fate::DEFAULT);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 5)), Fate::Drop);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 9)), Fate::Drop);
-        assert_eq!(
-            FatePolicy::<u8>::fate(&mut s, &env(0, 1, 10)),
-            Fate::DEFAULT
-        );
+        let mut net = Scenario::default()
+            .link(LinkRule::every(LinkEffect::Drop).during(5, 10))
+            .network();
+        assert_eq!(fate(&mut net, 0, 1, 4), PROMPT);
+        assert_eq!(fate(&mut net, 0, 1, 5), Fate::Drop);
+        assert_eq!(fate(&mut net, 0, 1, 9), Fate::Drop);
+        assert_eq!(fate(&mut net, 0, 1, 10), PROMPT);
     }
 
     #[test]
     fn silence_from_helper() {
-        let mut s = NetworkScript::synchronous().silence_from(NodeId(2), Time(3));
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(2, 1, 2)), Fate::DEFAULT);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(2, 1, 3)), Fate::Drop);
+        // A window with no end: node 2 silenced from tick 3 on.
+        let silenced = LinkRule {
+            from_tick: 3,
+            ..LinkRule::every(LinkEffect::Drop).from(Selector::Is(NodeId(2)))
+        };
+        let mut net = Scenario::default().link(silenced).network();
+        assert_eq!(fate(&mut net, 2, 1, 2), PROMPT);
+        assert_eq!(fate(&mut net, 2, 1, 3), Fate::Drop);
+        assert_eq!(fate(&mut net, 2, 1, u64::MAX), Fate::Drop);
     }
 
     #[test]
     fn partition_helper() {
-        let mut s = NetworkScript::synchronous().partition(
-            vec![NodeId(0)],
-            vec![NodeId(1)],
-            Time(0),
-            Some(Time(5)),
-        );
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 1)), Fate::Drop);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(1, 0, 1)), Fate::Drop);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 1, 6)), Fate::DEFAULT);
-        assert_eq!(FatePolicy::<u8>::fate(&mut s, &env(0, 2, 1)), Fate::DEFAULT);
+        let mut net = Scenario::default().partition(vec![0], 0, 5).network();
+        assert_eq!(fate(&mut net, 0, 1, 1), Fate::Drop);
+        assert_eq!(fate(&mut net, 1, 0, 1), Fate::Drop);
+        assert_eq!(fate(&mut net, 0, 1, 6), PROMPT);
+        assert_eq!(fate(&mut net, 1, 2, 1), PROMPT);
     }
 
     #[test]
     fn closure_policy() {
+        // A content-dependent fate no link rule can express, falling back
+        // to a scenario for everything else.
+        let mut net = Scenario::default()
+            .link(LinkRule::every(LinkEffect::Drop).to(Selector::Is(NodeId(2))))
+            .network();
         let mut calls = 0;
         {
             let mut policy = |e: &Envelope<u8>| {
                 calls += 1;
-                if e.to == NodeId(9) {
-                    Fate::Hold(1)
+                if e.msg == 7 {
+                    Fate::DeliverAt(Time(40))
                 } else {
-                    Fate::DEFAULT
+                    net.fate(e)
                 }
             };
-            assert_eq!(policy.fate(&env(0, 9, 0)), Fate::Hold(1));
-            assert_eq!(policy.fate(&env(0, 1, 0)), Fate::DEFAULT);
+            let seven = Envelope {
+                msg: 7,
+                ..env(0, 2, 0)
+            };
+            assert_eq!(policy.fate(&seven), Fate::DeliverAt(Time(40)));
+            assert_eq!(policy.fate(&env(0, 2, 0)), Fate::Drop);
+            assert_eq!(policy.fate(&env(0, 1, 0)), PROMPT);
         }
-        assert_eq!(calls, 2);
+        assert_eq!(calls, 3);
     }
 }

@@ -6,10 +6,10 @@
 //! committing to an execution substrate. The same description drives both
 //! deployments:
 //!
-//! - on the deterministic simulator link rules compile to a fate policy
-//!   ([`ScenarioNet`] implements [`FatePolicy`]);
-//! - on the threaded runtime the very same [`ScenarioNet::decide`] core
-//!   runs in the send path, on the sender's thread;
+//! - its link rules decide each message's [`Fate`] in one place,
+//!   [`ScenarioNet::decide`]: the simulator routes through it as a
+//!   [`FatePolicy`], and the threaded runtime calls it in the send path,
+//!   on the sender's thread;
 //! - on both, a delayed message is a delivery entry and a crash plan is
 //!   a crash and a restart entry on the [`Agenda`](crate::Agenda) the
 //!   substrate drives.
@@ -283,30 +283,28 @@ impl Scenario {
     }
 }
 
-/// The routing decision shared by both substrate compilations; all delays
-/// are *extra* ticks on top of the substrate's base delivery latency.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkDecision {
-    /// Deliver after `extra` additional ticks (0 = promptly).
-    Deliver {
-        /// Extra delay beyond the base latency.
-        extra: u64,
-    },
-    /// Deliver at an absolute tick (partition heal).
-    DeliverAtTick(u64),
-    /// Never deliver.
-    Drop,
-    /// Deliver promptly and again after `lag` extra ticks.
-    Duplicate {
-        /// Extra delay of the duplicate.
-        lag: u64,
-    },
-}
-
 /// The compiled link schedule: [`Scenario::links`] plus per-rule counters
 /// (for `DropEvery` / `Jitter` determinism). Implements [`FatePolicy`] so
 /// a [`World`](crate::World) can route through it directly; the threaded
 /// runtime calls [`ScenarioNet::decide`] from its send path.
+///
+/// # Examples
+///
+/// Drop everything from node 0 to nodes 3 and 4, deliver the rest
+/// synchronously:
+///
+/// ```
+/// use rqs_sim::{Fate, LinkEffect, LinkRule, NodeId, Scenario, Selector};
+/// let mut net = Scenario::default()
+///     .link(
+///         LinkRule::every(LinkEffect::Drop)
+///             .from(Selector::Is(NodeId(0)))
+///             .to(Selector::In(vec![NodeId(3), NodeId(4)])),
+///     )
+///     .network();
+/// assert_eq!(net.decide(NodeId(0), NodeId(3), 10), Fate::Drop);
+/// assert_eq!(net.decide(NodeId(1), NodeId(3), 10), Fate::Deliver { delay: 1 });
+/// ```
 #[derive(Clone, Debug)]
 pub struct ScenarioNet {
     rules: Vec<(LinkRule, u64)>,
@@ -326,52 +324,50 @@ impl ScenarioNet {
     }
 
     /// Decides the fate of one message sent from `from` to `to` at
-    /// `sent_tick`. Deterministic given the sequence of calls.
-    pub fn decide(&mut self, from: NodeId, to: NodeId, sent_tick: u64) -> LinkDecision {
+    /// `sent_tick`: the first terminal match wins, and an unmatched
+    /// message is delivered after one tick. Deterministic given the
+    /// sequence of calls.
+    pub fn decide(&mut self, from: NodeId, to: NodeId, sent_tick: u64) -> Fate {
         for (rule, counter) in &mut self.rules {
             if !rule.matches(from, to, sent_tick) {
                 continue;
             }
             match rule.effect {
-                LinkEffect::Drop => return LinkDecision::Drop,
+                LinkEffect::Drop => return Fate::Drop,
                 LinkEffect::DropEvery(n) => {
                     *counter += 1;
                     if *counter % n.max(1) == 0 {
-                        return LinkDecision::Drop;
+                        return Fate::Drop;
                     }
                     // else: fall through to later rules
                 }
-                LinkEffect::Delay(extra) => return LinkDecision::Deliver { extra },
+                LinkEffect::Delay(extra) => return Fate::Deliver { delay: 1 + extra },
                 LinkEffect::Jitter { base, spread } => {
                     *counter += 1;
-                    return LinkDecision::Deliver {
-                        extra: base + *counter % (spread + 1),
+                    return Fate::Deliver {
+                        delay: 1 + base + *counter % (spread + 1),
                     };
                 }
-                LinkEffect::Duplicate { lag } => return LinkDecision::Duplicate { lag },
+                LinkEffect::Duplicate { lag } => {
+                    return Fate::Duplicate {
+                        first: 1,
+                        second: 1 + lag,
+                    }
+                }
                 LinkEffect::HoldUntilHeal => {
-                    return match rule.until_tick {
-                        Some(heal) => LinkDecision::DeliverAtTick(heal),
-                        None => LinkDecision::Drop,
-                    };
+                    return rule
+                        .until_tick
+                        .map_or(Fate::Drop, |heal| Fate::DeliverAt(Time(heal)));
                 }
             }
         }
-        LinkDecision::Deliver { extra: 0 }
+        Fate::Deliver { delay: 1 }
     }
 }
 
 impl<M> FatePolicy<M> for ScenarioNet {
     fn fate(&mut self, env: &Envelope<M>) -> Fate {
-        match self.decide(env.from, env.to, env.sent_at.ticks()) {
-            LinkDecision::Deliver { extra } => Fate::Deliver { delay: 1 + extra },
-            LinkDecision::DeliverAtTick(t) => Fate::DeliverAt(Time(t)),
-            LinkDecision::Drop => Fate::Drop,
-            LinkDecision::Duplicate { lag } => Fate::Duplicate {
-                first: 1,
-                second: 1 + lag,
-            },
-        }
+        self.decide(env.from, env.to, env.sent_at.ticks())
     }
 }
 
@@ -379,33 +375,23 @@ impl<M> FatePolicy<M> for ScenarioNet {
 mod tests {
     use super::*;
 
+    const PROMPT: Fate = Fate::Deliver { delay: 1 };
+
     #[test]
     fn benign_scenario_delivers_everything() {
         let mut net = Scenario::named("clean").network();
-        assert_eq!(
-            net.decide(NodeId(0), NodeId(1), 5),
-            LinkDecision::Deliver { extra: 0 }
-        );
+        assert_eq!(net.decide(NodeId(0), NodeId(1), 5), PROMPT);
     }
 
     #[test]
     fn partition_drops_both_directions_until_heal() {
         let mut net = Scenario::named("p").partition(vec![2], 10, 20).network();
-        assert_eq!(net.decide(NodeId(2), NodeId(0), 15), LinkDecision::Drop);
-        assert_eq!(net.decide(NodeId(0), NodeId(2), 15), LinkDecision::Drop);
+        assert_eq!(net.decide(NodeId(2), NodeId(0), 15), Fate::Drop);
+        assert_eq!(net.decide(NodeId(0), NodeId(2), 15), Fate::Drop);
         // inside the group, outside the window, unrelated links: delivered
-        assert_eq!(
-            net.decide(NodeId(0), NodeId(1), 15),
-            LinkDecision::Deliver { extra: 0 }
-        );
-        assert_eq!(
-            net.decide(NodeId(2), NodeId(0), 20),
-            LinkDecision::Deliver { extra: 0 }
-        );
-        assert_eq!(
-            net.decide(NodeId(2), NodeId(0), 9),
-            LinkDecision::Deliver { extra: 0 }
-        );
+        assert_eq!(net.decide(NodeId(0), NodeId(1), 15), PROMPT);
+        assert_eq!(net.decide(NodeId(2), NodeId(0), 20), PROMPT);
+        assert_eq!(net.decide(NodeId(2), NodeId(0), 9), PROMPT);
     }
 
     #[test]
@@ -418,17 +404,16 @@ mod tests {
         for _ in 0..6 {
             fates.push(net.decide(NodeId(0), NodeId(1), 0));
         }
-        let drops = fates.iter().filter(|f| **f == LinkDecision::Drop).count();
+        let dup = Fate::Duplicate {
+            first: 1,
+            second: 3,
+        };
+        let drops = fates.iter().filter(|f| **f == Fate::Drop).count();
         assert_eq!(drops, 2, "every 3rd of 6 messages dropped");
         // Survivors fell through to the duplication rule.
-        assert!(fates
-            .iter()
-            .all(|f| *f == LinkDecision::Drop || *f == LinkDecision::Duplicate { lag: 2 }));
+        assert!(fates.iter().all(|f| *f == Fate::Drop || *f == dup));
         // Messages not touching node 1 are duplicated only.
-        assert_eq!(
-            net.decide(NodeId(0), NodeId(2), 0),
-            LinkDecision::Duplicate { lag: 2 }
-        );
+        assert_eq!(net.decide(NodeId(0), NodeId(2), 0), dup);
     }
 
     #[test]
@@ -438,7 +423,7 @@ mod tests {
             .network();
         let extras: Vec<u64> = (0..6)
             .map(|_| match net.decide(NodeId(0), NodeId(1), 0) {
-                LinkDecision::Deliver { extra } => extra,
+                Fate::Deliver { delay } => delay - 1,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -456,12 +441,9 @@ mod tests {
             .network();
         assert_eq!(
             net.decide(NodeId(0), NodeId(1), 3),
-            LinkDecision::DeliverAtTick(25)
+            Fate::DeliverAt(Time(25))
         );
-        assert_eq!(
-            net.decide(NodeId(0), NodeId(1), 30),
-            LinkDecision::Deliver { extra: 0 }
-        );
+        assert_eq!(net.decide(NodeId(0), NodeId(1), 30), PROMPT);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct WorldStats {
 /// # Examples
 ///
 /// ```
-/// use rqs_sim::{World, Automaton, Context, NodeId, NetworkScript, TimerToken};
+/// use rqs_sim::{World, Automaton, Context, NodeId, ScenarioNet, TimerToken};
 /// use std::any::Any;
 ///
 /// struct Echo { got: Option<u32> }
@@ -87,7 +87,7 @@ pub struct WorldStats {
 ///     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 /// }
 ///
-/// let mut world = World::new(NetworkScript::synchronous());
+/// let mut world = World::new(ScenarioNet::benign());
 /// let a = world.add_node(Box::new(Echo { got: None }));
 /// let b = world.add_node(Box::new(Echo { got: None }));
 /// world.post(a, b, 0u32); // kick off: a → b
@@ -100,12 +100,10 @@ pub struct World<M> {
     crashed: Vec<bool>,
     crash_modes: Vec<CrashMode>,
     agenda: Agenda<Time, M>,
-    held: Vec<(u32, Envelope<M>)>,
     now: Time,
     timer_counter: u64,
     policy: Box<dyn FatePolicy<M>>,
     scheduler: Option<Box<dyn Scheduler>>,
-    default_delay: u64,
     sizer: Option<fn(&M) -> u64>,
     stats: WorldStats,
     trace: Option<Vec<TraceEntry>>,
@@ -127,12 +125,10 @@ impl<M: Clone + 'static> World<M> {
             crashed: Vec::new(),
             crash_modes: Vec::new(),
             agenda: Agenda::default(),
-            held: Vec::new(),
             now: Time::ZERO,
             timer_counter: 0,
             policy: Box::new(policy),
             scheduler: None,
-            default_delay: 1,
             sizer: None,
             stats: WorldStats::default(),
             trace: None,
@@ -183,7 +179,7 @@ impl<M: Clone + 'static> World<M> {
     /// delivery *times* and sequence numbers, so two executions that
     /// reached the same protocol state by different schedules collide.
     pub fn digest_with(&self, hash_msg: impl Fn(&M) -> u64) -> u64 {
-        let mut events: Vec<u64> = Vec::with_capacity(self.agenda.len() + self.held.len());
+        let mut events: Vec<u64> = Vec::with_capacity(self.agenda.len());
         for e in self.agenda.iter() {
             let node = e.node.0 as u64;
             let h = match &e.due {
@@ -197,15 +193,6 @@ impl<M: Clone + 'static> World<M> {
                 Due::Restart => fnv1a_fold(4, node),
             };
             events.push(h);
-        }
-        for (tag, env) in &self.held {
-            events.push(fnv1a_fold(
-                fnv1a_fold(
-                    fnv1a_fold(fnv1a_fold(5, *tag as u64), env.from.0 as u64),
-                    env.to.0 as u64,
-                ),
-                hash_msg(&env.msg),
-            ));
         }
         events.sort_unstable();
         let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
@@ -270,11 +257,6 @@ impl<M: Clone + 'static> World<M> {
         self.stats
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// `true` iff the node crashed (or was crashed by schedule).
     pub fn is_crashed(&self, id: NodeId) -> bool {
         self.crashed[id.0]
@@ -316,9 +298,9 @@ impl<M: Clone + 'static> World<M> {
 
     /// Schedules a crash: from time `t` the node neither receives nor
     /// sends. (A crash between sends within one step is expressed by a
-    /// [`NetworkScript`](crate::NetworkScript) dropping the tail of its
-    /// messages instead.) Equivalent to
-    /// [`crash_at_mode`](World::crash_at_mode) with [`CrashMode::Retain`].
+    /// [`FatePolicy`] dropping the tail of its messages instead.)
+    /// Equivalent to [`crash_at_mode`](World::crash_at_mode) with
+    /// [`CrashMode::Retain`].
     pub fn crash_at(&mut self, node: NodeId, t: Time) {
         self.crash_at_mode(node, t, CrashMode::Retain);
     }
@@ -375,37 +357,6 @@ impl<M: Clone + 'static> World<M> {
             msg,
             sent_at: self.now,
         });
-    }
-
-    /// Releases all messages held under `tag`: they are re-routed with the
-    /// default delay from the current time.
-    pub fn release(&mut self, tag: u32) {
-        let mut released = Vec::new();
-        self.held.retain(|(t, env)| {
-            if *t == tag {
-                released.push(env.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for env in released {
-            let at = self.now + self.default_delay;
-            self.log(format!(
-                "release tag {tag}: {} → {} delivered at {at}",
-                env.from, env.to
-            ));
-            let due = Due::Deliver {
-                from: env.from,
-                msg: env.msg,
-            };
-            self.agenda.push(at, env.to, due);
-        }
-    }
-
-    /// Number of messages currently held (all tags).
-    pub fn held_count(&self) -> usize {
-        self.held.len()
     }
 
     /// Executes a single entry; returns `false` when the agenda is empty.
@@ -762,11 +713,6 @@ impl<M: Clone + 'static> World<M> {
                 self.log(format!("{from} → {to}: duplicated"));
                 self.now + second.max(1)
             }
-            Fate::Hold(tag) => {
-                self.log(format!("{from} → {to}: held (tag {tag})"));
-                self.held.push((tag, env));
-                return;
-            }
             Fate::Drop => {
                 self.stats.messages_dropped += 1;
                 let now = self.now.ticks();
@@ -790,8 +736,9 @@ impl<M: Clone + 'static> World<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{NetworkScript, Rule, Selector};
+    use crate::network::Selector;
     use crate::node::TimerToken;
+    use crate::scenario::{LinkEffect, LinkRule, Scenario, ScenarioNet};
     use std::any::Any;
 
     /// Test automaton: counts pings, pongs back until a limit.
@@ -830,7 +777,7 @@ mod tests {
     }
 
     fn two_node_world() -> (World<u32>, NodeId, NodeId) {
-        let mut w = World::new(NetworkScript::synchronous());
+        let mut w = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(PingPong::new(4)));
         let b = w.add_node(Box::new(PingPong::new(4)));
         (w, a, b)
@@ -929,7 +876,7 @@ mod tests {
         // crash and fire after a retain-restart. Timers are volatile
         // state and must die with the node in either crash mode.
         for mode in [CrashMode::Retain, CrashMode::Amnesia] {
-            let mut w = World::new(NetworkScript::synchronous());
+            let mut w = World::new(ScenarioNet::benign());
             let a = w.add_node(Box::new(TimerHolder {
                 fired: 0,
                 volatile: 0,
@@ -962,7 +909,7 @@ mod tests {
 
     #[test]
     fn scheduler_crash_purges_timers_and_crash_recover_restores() {
-        let mut w = World::new(NetworkScript::synchronous());
+        let mut w = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(TimerHolder {
             fired: 0,
             volatile: 0,
@@ -1015,7 +962,20 @@ mod tests {
         w.post(a, b, 9);
         w.run_to_quiescence();
         assert_eq!(w.node_as::<PingPong>(b).received, vec![9, 9]);
+        assert_eq!(w.now(), Time(3));
         assert_eq!(w.stats().messages_sent, 1);
+        assert_eq!(w.stats().messages_delivered, 2);
+
+        // `Duplicate { lag: 0 }`: the copy lags by no tick, so both
+        // arrive one tick after the send.
+        let dup = Scenario::default().link(LinkRule::every(LinkEffect::Duplicate { lag: 0 }));
+        let mut w: World<u32> = World::new(dup.network());
+        let a = w.add_node(Box::new(PingPong::new(0)));
+        let b = w.add_node(Box::new(PingPong::new(0)));
+        w.post(a, b, 9);
+        w.run_to_quiescence();
+        assert_eq!(w.node_as::<PingPong>(b).received, vec![9, 9]);
+        assert_eq!(w.now(), Time(1));
         assert_eq!(w.stats().messages_delivered, 2);
     }
 
@@ -1033,7 +993,9 @@ mod tests {
     #[test]
     fn drop_rule() {
         let mut w = World::new(
-            NetworkScript::synchronous().rule(Rule::always(Fate::Drop).to(Selector::Is(NodeId(0)))),
+            Scenario::default()
+                .link(LinkRule::every(LinkEffect::Drop).to(Selector::Is(NodeId(0))))
+                .network(),
         );
         let a = w.add_node(Box::new(PingPong::new(9)));
         let b = w.add_node(Box::new(PingPong::new(9)));
@@ -1042,24 +1004,6 @@ mod tests {
         assert_eq!(w.node_as::<PingPong>(b).received, vec![0]);
         assert!(w.node_as::<PingPong>(a).received.is_empty());
         assert_eq!(w.stats().messages_dropped, 1);
-    }
-
-    #[test]
-    fn hold_and_release() {
-        let mut w = World::new(
-            NetworkScript::synchronous()
-                .rule(Rule::always(Fate::Hold(7)).between(Time(0), Time(1))),
-        );
-        let a = w.add_node(Box::new(PingPong::new(0)));
-        let b = w.add_node(Box::new(PingPong::new(0)));
-        w.post(a, b, 42);
-        w.run_to_quiescence();
-        assert!(w.node_as::<PingPong>(b).received.is_empty());
-        assert_eq!(w.held_count(), 1);
-        w.release(7);
-        w.run_to_quiescence();
-        assert_eq!(w.node_as::<PingPong>(b).received, vec![42]);
-        assert_eq!(w.held_count(), 0);
     }
 
     #[test]
@@ -1097,7 +1041,7 @@ mod tests {
                 self
             }
         }
-        let mut w = World::new(NetworkScript::synchronous());
+        let mut w = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(TimerNode { fired: vec![] }));
         let ext = w.add_node(Box::new(PingPong::new(0)));
         w.post(ext, a, 1);
@@ -1198,7 +1142,7 @@ mod tests {
                 self
             }
         }
-        let mut w: World<u32> = World::new(NetworkScript::synchronous());
+        let mut w: World<u32> = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(Other));
         w.invoke::<PingPong>(a, |_n, _c| {});
     }
@@ -1292,7 +1236,7 @@ mod tests {
 
     #[test]
     fn consecutive_same_time_deliveries_to_one_node_are_one_step() {
-        let mut w: World<u32> = World::new(NetworkScript::synchronous());
+        let mut w: World<u32> = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(Steps::default()));
         let b = w.add_node(Box::new(Steps::default()));
         // Three in a row for `a`, then a delivery to `b` and one of `b`'s
@@ -1314,7 +1258,7 @@ mod tests {
         assert_eq!(w.stats().messages_delivered, 6);
 
         // Under a scheduler a step is one event.
-        let mut w: World<u32> = World::new(NetworkScript::synchronous());
+        let mut w: World<u32> = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(Steps::default()));
         w.set_scheduler(Box::new(Scripted {
             script: vec![],
@@ -1352,7 +1296,7 @@ mod tests {
         // numbers timer 1 ahead of forward 2 ahead of timer 3; the batch
         // step must too, or the two runs order tick 2 differently.
         let run = |scheduled: bool| {
-            let mut w: World<u32> = World::new(NetworkScript::synchronous());
+            let mut w: World<u32> = World::new(ScenarioNet::benign());
             let a = w.add_node(Box::new(OneByOne(Steps::default())));
             let b = w.add_node(Box::new(Steps::default()));
             w.invoke::<OneByOne>(a, move |n, _| n.0.forward_to = Some(b));
@@ -1433,7 +1377,7 @@ mod tests {
 
     #[test]
     fn clock_never_goes_backwards_under_scheduler() {
-        let mut w: World<u32> = World::new(NetworkScript::with_delay(1));
+        let mut w: World<u32> = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(PingPong::new(0)));
         let b = w.add_node(Box::new(PingPong::new(0)));
         // Two posts; deliver the later-sequenced one first, then the other.
@@ -1488,7 +1432,7 @@ mod tests {
                 self
             }
         }
-        let mut w = World::new(NetworkScript::synchronous());
+        let mut w = World::new(ScenarioNet::benign());
         let a = w.add_node(Box::new(Starter { started: false }));
         w.start();
         assert!(w.node_as::<Starter>(a).started);

@@ -2,7 +2,7 @@
 //! bit-identical executions — the foundation of the paper-figure replays.
 
 use proptest::prelude::*;
-use rqs_sim::{Automaton, Context, Envelope, Fate, NetworkScript, NodeId, Time, TimerToken, World};
+use rqs_sim::{Automaton, Context, Envelope, Fate, NodeId, ScenarioNet, Time, TimerToken, World};
 use std::any::Any;
 
 /// A small chaotic automaton: relays messages around a ring, arms timers,
@@ -99,7 +99,7 @@ proptest! {
         // Crashing a node earlier can only reduce the set of events it
         // logs (prefix property of crashes).
         let full = run_once(n, &payloads, 0, 1);
-        let mut world = World::new(NetworkScript::synchronous());
+        let mut world = World::new(ScenarioNet::benign());
         let nodes: Vec<NodeId> = (0..n)
             .map(|_| {
                 world.add_node(Box::new(RingNode { n, hops_left: 64, log: Vec::new() }))

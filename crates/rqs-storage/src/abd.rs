@@ -292,10 +292,10 @@ impl Automaton<AbdMsg> for AbdClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqs_sim::{NetworkScript, Time, World};
+    use rqs_sim::{ScenarioNet, Time, World};
 
     fn build(n: usize) -> (World<AbdMsg>, Vec<NodeId>, NodeId, NodeId) {
-        let mut world = World::new(NetworkScript::synchronous());
+        let mut world = World::new(ScenarioNet::benign());
         let servers: Vec<NodeId> = (0..n)
             .map(|_| world.add_node(Box::new(AbdServer::new())))
             .collect();

@@ -23,7 +23,7 @@ use crate::value::Value;
 use crate::writer::{WriteOutcome, Writer};
 use rqs_core::{ProcessSet, Rqs};
 use rqs_sim::{
-    Automaton, CrashMode, NetworkScript, NodeId, Scenario, Substrate, SubstrateConfig, Time, World,
+    Automaton, CrashMode, NodeId, Scenario, Substrate, SubstrateConfig, Time, World,
     DEFAULT_AWAIT_STEPS,
 };
 use rqs_store::{StoreHandle, StoreStats};
@@ -402,16 +402,8 @@ impl<S: Substrate<StorageMsg>> StorageDeployment<S> {
 /// network policies, Byzantine substitution with non-`Send` scripted
 /// automatons, and quiescence-based settling.
 impl StorageHarness {
-    /// Builds a deployment with a custom network script (asynchrony,
-    /// partitions, scripted schedules).
-    pub fn with_script(rqs: Rqs, readers: usize, script: NetworkScript) -> Self {
-        let mut h = Self::new(rqs, readers);
-        h.world_mut().set_policy(script);
-        h
-    }
-
     /// The underlying world (crash injection, Byzantine substitution,
-    /// message release, trace inspection).
+    /// fate policies, trace inspection).
     pub fn world_mut(&mut self) -> &mut World<StorageMsg> {
         &mut self.sub
     }

@@ -278,10 +278,10 @@ impl Automaton<NaiveMsg> for NaiveClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqs_sim::{Fate, NetworkScript, Rule, Selector, World};
+    use rqs_sim::{LinkEffect, LinkRule, Scenario, ScenarioNet, Selector, World};
 
     fn build() -> (World<NaiveMsg>, Vec<NodeId>, NodeId, NodeId, NodeId) {
-        let mut world = World::new(NetworkScript::synchronous());
+        let mut world = World::new(ScenarioNet::benign());
         let servers: Vec<NodeId> = (0..5)
             .map(|_| world.add_node(Box::new(NaiveServer::new())))
             .collect();
@@ -315,13 +315,14 @@ mod tests {
         // Incomplete write: round-1 messages reach only server index 2
         // (s3); all others are lost (the writer then crashes, Fig. 1 ex3).
         world.set_policy(
-            NetworkScript::synchronous()
-                .rule(
-                    Rule::always(Fate::Deliver { delay: 1 })
+            Scenario::default()
+                .link(
+                    LinkRule::every(LinkEffect::Delay(0))
                         .from(Selector::Is(writer))
                         .to(Selector::Is(servers[2])),
                 )
-                .rule(Rule::always(Fate::Drop).from(Selector::Is(writer))),
+                .link(LinkRule::every(LinkEffect::Drop).from(Selector::Is(writer)))
+                .network(),
         );
         world.invoke::<NaiveClient>(writer, |c, ctx| c.start_write(Value::from(7u64), ctx));
         world.run_to_quiescence();
@@ -332,11 +333,13 @@ mod tests {
 
         // r1 reads; replies from {s3,s4,s5} arrive, {s1,s2} delayed.
         world.set_policy(
-            NetworkScript::synchronous().rule(
-                Rule::always(Fate::Drop)
-                    .from(Selector::In(vec![servers[0], servers[1]]))
-                    .to(Selector::Is(r1)),
-            ),
+            Scenario::default()
+                .link(
+                    LinkRule::every(LinkEffect::Drop)
+                        .from(Selector::In(vec![servers[0], servers[1]]))
+                        .to(Selector::Is(r1)),
+                )
+                .network(),
         );
         world.invoke::<NaiveClient>(r1, |c, ctx| c.start_read(ctx));
         world.run_to_quiescence();
@@ -349,7 +352,7 @@ mod tests {
         world.crash_at(servers[2], now);
         world.crash_at(servers[4], now);
         world.run_before(now + 1);
-        world.set_policy(NetworkScript::synchronous());
+        world.set_policy(ScenarioNet::benign());
         world.invoke::<NaiveClient>(r2, |c, ctx| c.start_read(ctx));
         world.run_to_quiescence();
         let rd2 = &world.node_as::<NaiveClient>(r2).outcomes()[0];

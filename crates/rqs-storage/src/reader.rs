@@ -684,13 +684,13 @@ mod tests {
     use crate::value::Value;
     use crate::writer::Writer;
     use rqs_core::threshold::ThresholdConfig;
-    use rqs_sim::{NetworkScript, World};
+    use rqs_sim::{ScenarioNet, World};
 
     /// Builds a full world over the §1.2 system: 5 servers, 1 writer,
     /// 1 reader; returns (world, server_ids, writer_id, reader_id).
     fn build_world() -> (World<StorageMsg>, Vec<NodeId>, NodeId, NodeId) {
         let rqs = Arc::new(ThresholdConfig::crash_fast(5, 1).build().unwrap());
-        let mut world = World::new(NetworkScript::synchronous());
+        let mut world = World::new(ScenarioNet::benign());
         let servers: Vec<NodeId> = (0..5)
             .map(|_| world.add_node(Box::new(Server::new())))
             .collect();

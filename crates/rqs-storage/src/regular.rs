@@ -315,7 +315,7 @@ mod tests {
     use crate::value::Value;
     use crate::writer::Writer;
     use rqs_core::threshold::ThresholdConfig;
-    use rqs_sim::{NetworkScript, World};
+    use rqs_sim::{ScenarioNet, World};
 
     fn build(
         readers: usize,
@@ -333,7 +333,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let mut world = World::new(NetworkScript::synchronous());
+        let mut world = World::new(ScenarioNet::benign());
         let servers: Vec<NodeId> = (0..7)
             .map(|_| world.add_node(Box::new(Server::new())))
             .collect();

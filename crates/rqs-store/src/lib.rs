@@ -121,11 +121,6 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// The write-ahead default: sync every append, no torn tails.
-    pub fn write_ahead() -> Self {
-        StoreConfig::default()
-    }
-
     /// A hazardous configuration: sync only every `n` appends and leave
     /// torn tails behind crashes. For tests that demonstrate what the
     /// write-ahead discipline prevents.
@@ -536,11 +531,6 @@ impl StoreHandle {
     /// A deterministic in-memory store (the simulator default).
     pub fn mem() -> Self {
         Self::new(Box::new(MemDurable::new()))
-    }
-
-    /// An in-memory store with an explicit configuration.
-    pub fn mem_with(config: StoreConfig) -> Self {
-        Self::new(Box::new(MemDurable::with_config(config)))
     }
 
     /// A file-backed store under `dir` (the threaded-runtime backend).

@@ -54,7 +54,7 @@ fn slot2_fabrication_forces_extra_read_rounds() {
         if e.from == s3 && e.to == reader && e.sent_at < release {
             Fate::DeliverAt(release)
         } else {
-            Fate::DEFAULT
+            Fate::Deliver { delay: 1 }
         }
     });
     let r = h.read(0);
@@ -81,7 +81,7 @@ fn consensus_terminates_after_gst() {
         h.world_mut()
             .set_policy(move |e: &Envelope<rqs::consensus::ConsensusMsg>| {
                 if e.sent_at >= gst {
-                    return Fate::DEFAULT;
+                    return Fate::Deliver { delay: 1 };
                 }
                 state = state
                     .wrapping_mul(6364136223846793005)
@@ -89,7 +89,7 @@ fn consensus_terminates_after_gst() {
                 if (state >> 33) % 10 < 4 {
                     Fate::Drop
                 } else {
-                    Fate::DEFAULT
+                    Fate::Deliver { delay: 1 }
                 }
             });
         h.propose(0, 1);
@@ -117,7 +117,7 @@ fn slow_first_round_still_completes() {
         if e.to == reader {
             Fate::Deliver { delay: 10 }
         } else {
-            Fate::DEFAULT
+            Fate::Deliver { delay: 1 }
         }
     });
     let r = h.read(0);
@@ -143,7 +143,7 @@ fn degradation_is_not_sticky() {
         if e.sent_at < heal && e.from == writer && cut.contains(&e.to) {
             Fate::Drop
         } else {
-            Fate::DEFAULT
+            Fate::Deliver { delay: 1 }
         }
     });
     let w1 = h.write(Value::from(1u64));

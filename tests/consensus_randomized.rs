@@ -115,7 +115,7 @@ fn late_learner_catches_up_via_decision_pull() {
         if e.to == blocked && e.sent_at < release_at {
             Fate::Drop
         } else {
-            Fate::DEFAULT
+            Fate::Deliver { delay: 1 }
         }
     });
     h.propose(0, 4);

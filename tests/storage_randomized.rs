@@ -172,7 +172,7 @@ fn contended_read_with_stalled_write_is_atomic() {
             if e.from == writer && !keep.contains(&e.to) {
                 Fate::Drop
             } else {
-                Fate::DEFAULT
+                Fate::Deliver { delay: 1 }
             }
         });
     h.start_write(Value::from(2u64));
